@@ -47,6 +47,7 @@ fn main() {
         while !env.is_done() {
             let cmds = team.decide(&env, &obs, &mut rng, false);
             let opts: Vec<String> = team
+                .cursor()
                 .agents()
                 .iter()
                 .map(|a| a.current_option().map(|o| format!("{o}")).unwrap_or_default())

@@ -33,7 +33,7 @@ fn main() {
 
     let path = args.out_file("fig8_lowlevel_skills.csv");
     rec.write_csv(&path).expect("write csv");
-    let ckpt = args.out_file("skills.ckpt");
+    let ckpt = hero_bench::skills_checkpoint(&args, args.episodes);
     skills.save(&ckpt).expect("save skill checkpoint");
 
     println!("Fig. 8: episode reward of learning low-level skills (window-100 means)");

@@ -67,6 +67,7 @@ pub use harness::{
     Method, MethodParams, TrainedPolicy,
 };
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use hero_baselines::sac::SacConfig;
@@ -139,11 +140,24 @@ pub fn init_telemetry(args: &ExperimentArgs, run_label: &str) -> Option<Telemetr
     Some(TelemetrySession { _exporter: exporter, _guard: guard })
 }
 
-/// Loads the shared low-level skill library from
-/// `<out>/skills.ckpt`, or trains it (Fig. 8 / Algorithm 2) and saves the
-/// checkpoint for the other experiment binaries to reuse.
+/// `<out>/skills-seed<S>-ep<E>-batch<B>.ckpt`: where the skill library
+/// trained with `--seed S` for `E` episodes at `--batch-size B` is cached.
+/// Keying the file by all three keeps a run from silently reusing skills
+/// trained under other flags.
+pub fn skills_checkpoint(args: &ExperimentArgs, episodes: usize) -> PathBuf {
+    args.out_file(&format!(
+        "skills-seed{}-ep{episodes}-batch{}.ckpt",
+        args.seed, args.batch_size
+    ))
+}
+
+/// Loads the shared low-level skill library cached in `--out` for this
+/// run's `--seed`, `--skill-episodes` and `--batch-size`
+/// ([`skills_checkpoint`]), or trains it (Fig. 8 / Algorithm 2) and saves
+/// the checkpoint for the other experiment binaries to reuse.
 pub fn load_or_train_skills(args: &ExperimentArgs, env_cfg: EnvConfig) -> Arc<SkillLibrary> {
-    let ckpt = args.out_file("skills.ckpt");
+    let episodes = args.skill_episodes;
+    let ckpt = skills_checkpoint(args, episodes);
     let defaults = SacConfig::default();
     let sac = SacConfig {
         batch_size: args.batch_size,
@@ -161,8 +175,15 @@ pub fn load_or_train_skills(args: &ExperimentArgs, env_cfg: EnvConfig) -> Arc<Sk
             }
             Err(e) => eprintln!("checkpoint {} unusable ({e}); retraining", ckpt.display()),
         }
+    } else {
+        eprintln!(
+            "no skill checkpoint for --seed {} --skill-episodes {episodes} --batch-size {} \
+             in {}",
+            args.seed,
+            args.batch_size,
+            args.out.display()
+        );
     }
-    let episodes = args.skill_episodes;
     eprintln!("training low-level skills for {episodes} episodes (one-time bootstrap)");
     let _span = hero_rl::telemetry::span("skill_bootstrap");
     let (lib, _) = SkillLibrary::train(
@@ -185,4 +206,55 @@ pub fn print_eval_row(label: &str, stats: &hero_core::trainer::EvalStats) {
         "{label:<18} collision_rate={:.3}  success_rate={:.3}  mean_speed={:.4}  mean_reward={:.4}",
         stats.collision_rate, stats.success_rate, stats.mean_speed, stats.mean_reward
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(out: &std::path::Path, seed: u64) -> ExperimentArgs {
+        ExperimentArgs {
+            seed,
+            out: out.to_path_buf(),
+            batch_size: 8,
+            skill_episodes: 2,
+            ..ExperimentArgs::defaults(1)
+        }
+    }
+
+    fn modified(path: &std::path::Path) -> std::time::SystemTime {
+        std::fs::metadata(path)
+            .and_then(|m| m.modified())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    #[test]
+    fn skill_cache_is_reused_only_under_the_same_flags() {
+        let out = std::env::temp_dir().join(format!("hero_skill_cache_{}", std::process::id()));
+        std::fs::remove_dir_all(&out).ok();
+        let env_cfg = EnvConfig::default();
+        let seed1 = args(&out, 1);
+        let seed2 = args(&out, 2);
+
+        load_or_train_skills(&seed1, env_cfg);
+        let ckpt1 = skills_checkpoint(&seed1, 2);
+        let written = modified(&ckpt1);
+
+        // Another seed must not pick up seed 1's library: it trains its own.
+        load_or_train_skills(&seed2, env_cfg);
+        let ckpt2 = skills_checkpoint(&seed2, 2);
+        assert_ne!(ckpt1, ckpt2);
+        assert!(ckpt2.exists(), "seed 2 must train and cache its own library");
+
+        // Seed 1 again loads its cached library instead of retraining.
+        load_or_train_skills(&seed1, env_cfg);
+        assert_eq!(modified(&ckpt1), written, "seed 1's cache must be loaded, not rewritten");
+
+        // The other two flags key the cache too.
+        let more_episodes = ExperimentArgs { skill_episodes: 3, ..args(&out, 1) };
+        let other_batch = ExperimentArgs { batch_size: 16, ..args(&out, 1) };
+        assert_ne!(skills_checkpoint(&more_episodes, 3), ckpt1);
+        assert_ne!(skills_checkpoint(&other_batch, 2), ckpt1);
+        std::fs::remove_dir_all(&out).ok();
+    }
 }

@@ -43,12 +43,10 @@ struct Segment {
 /// One agent's option-execution state for one world: the active option
 /// and its half-open SMDP segment.
 ///
-/// Historically this state lived inside [`HeroAgent`], which tied each
-/// agent to exactly one world. The batched rollout engine steps many
-/// worlds concurrently, so the per-world state is externalized: the
-/// learner owns one cursor per (world, agent) and passes it to the
-/// `*_in` method variants. The cursor-free methods still operate on the
-/// agent's own internal cursor and behave exactly as before.
+/// The state lives outside [`HeroAgent`] so one agent can act in many
+/// worlds at once: the training loop owns one cursor per (world, agent)
+/// and passes it to [`HeroAgent::ensure_option`],
+/// [`HeroAgent::record_step`] and friends.
 #[derive(Clone, Debug, Default)]
 pub struct AgentCursor {
     active: Option<ActiveOption>,
@@ -89,7 +87,6 @@ impl AgentCursor {
 pub struct HeroAgent {
     high: HighLevelLearner,
     opponent: OpponentModel,
-    cursor: AgentCursor,
     cfg: HeroConfig,
     /// Number of option selections made so far (drives the ε schedule).
     selections: usize,
@@ -120,7 +117,6 @@ impl HeroAgent {
         Self {
             high,
             opponent,
-            cursor: AgentCursor::new(),
             cfg,
             selections: 0,
             opponent_losses: vec![Vec::new(); n_opponents],
@@ -133,16 +129,6 @@ impl HeroAgent {
     /// assigns `agent0`, `agent1`, … so per-agent curves stay separable.
     pub fn set_metric_label(&mut self, label: impl Into<String>) {
         self.metric_label = label.into();
-    }
-
-    /// The currently executing option, if any.
-    pub fn current_option(&self) -> Option<DrivingOption> {
-        self.cursor.current_option()
-    }
-
-    /// The active option's execution state (target lane etc.).
-    pub fn active(&self) -> Option<&ActiveOption> {
-        self.cursor.active()
     }
 
     /// The high-level learner (e.g. for checkpointing or inspection).
@@ -160,37 +146,14 @@ impl HeroAgent {
         &self.opponent_losses
     }
 
-    /// Clears any half-finished option state (call between episodes).
-    pub fn begin_episode(&mut self) {
-        self.cursor.clear();
-    }
-
-    /// Ensures an option is active, selecting a new one from the actor
-    /// (conditioned on the opponent model's predictions) when none is.
-    /// Returns the option that will execute this step.
+    /// Ensures `cur` holds an active option, selecting a new one from the
+    /// actor (conditioned on the opponent model's predictions) when none
+    /// is. Returns the option that will execute this step.
     ///
     /// `others_last` are the most recent *observed* options of the other
     /// agents (`o^{-i}_{1:t-1}` in the paper).
-    pub fn ensure_option(
-        &mut self,
-        high_obs: &[f32],
-        state: &VehicleState,
-        track: &Track,
-        others_last: &[usize],
-        rng: &mut StdRng,
-        explore: bool,
-    ) -> DrivingOption {
-        let mut cur = std::mem::take(&mut self.cursor);
-        let option = self.ensure_option_in(&mut cur, high_obs, state, track, others_last, rng, explore);
-        self.cursor = cur;
-        option
-    }
-
-    /// [`HeroAgent::ensure_option`] against an external per-world
-    /// [`AgentCursor`]. Consumes randomness and emits telemetry in exactly
-    /// the same order as the internal-cursor path.
     #[allow(clippy::too_many_arguments)]
-    pub fn ensure_option_in(
+    pub fn ensure_option(
         &mut self,
         cur: &mut AgentCursor,
         high_obs: &[f32],
@@ -205,10 +168,11 @@ impl HeroAgent {
             let logits = self.high.logits(high_obs, &opp_probs);
             self.start_option_from_logits(cur, &logits, high_obs, state, track, others_last, rng, explore);
         }
+        // Either an option was active or one was just started.
         cur.active.expect("option just ensured").option
     }
 
-    /// [`HeroAgent::ensure_option_in`] with the policy logits already
+    /// [`HeroAgent::ensure_option`] with the policy logits already
     /// computed (the batched rollout engine runs one forward pass over all
     /// worlds and feeds each row back through here). RNG draws and
     /// telemetry are identical to the scalar path; only the logits bits may
@@ -228,6 +192,7 @@ impl HeroAgent {
         if cur.active.is_none() {
             self.start_option_from_logits(cur, logits, high_obs, state, track, others_last, rng, explore);
         }
+        // Either an option was active or one was just started.
         cur.active.expect("option just ensured").option
     }
 
@@ -317,43 +282,19 @@ impl HeroAgent {
         });
     }
 
-    /// Records the outcome of one environment step while the current
-    /// option executes: accumulates the discounted reward, feeds the
-    /// opponent model, advances the termination clock, and — when the
-    /// option's β fires (or the episode ends) — closes the SMDP segment
-    /// into the high-level buffer.
+    /// Records the outcome of one environment step while `cur`'s option
+    /// executes: accumulates the discounted reward, feeds the opponent
+    /// model, advances the termination clock, and — when the option's β
+    /// fires (or the episode ends) — closes the SMDP segment into the
+    /// high-level buffer.
     ///
     /// Returns `true` when the option terminated at this step.
     ///
     /// # Panics
     ///
-    /// Panics when called with no active option.
-    pub fn record_step(
-        &mut self,
-        pre_obs: &[f32],
-        others_during: &[usize],
-        reward: f32,
-        next_obs: &[f32],
-        next_state: &VehicleState,
-        track: &Track,
-        done: bool,
-    ) -> bool {
-        let mut cur = std::mem::take(&mut self.cursor);
-        let terminated = self.record_step_in(
-            &mut cur, pre_obs, others_during, reward, next_obs, next_state, track, done,
-        );
-        self.cursor = cur;
-        terminated
-    }
-
-    /// [`HeroAgent::record_step`] against an external per-world
-    /// [`AgentCursor`].
-    ///
-    /// # Panics
-    ///
     /// Panics when the cursor holds no active option.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_step_in(
+    pub fn record_step(
         &mut self,
         cur: &mut AgentCursor,
         pre_obs: &[f32],
@@ -364,6 +305,8 @@ impl HeroAgent {
         track: &Track,
         done: bool,
     ) -> bool {
+        // Callers record a step only after deciding it, which leaves an
+        // active option; an option and its segment start and end together.
         let active = cur.active.as_mut().expect("record_step without active option");
         let segment = cur.segment.as_mut().expect("segment matches active option");
         self.opponent.observe(pre_obs.to_vec(), others_during.to_vec());
@@ -372,45 +315,40 @@ impl HeroAgent {
         active.tick();
         let terminated = done || active.terminated(next_state, track, &self.cfg);
         if terminated {
-            self.close_segment_in(cur, next_obs, done);
+            self.close_segment(cur, next_obs, done);
         }
         terminated
     }
 
-    /// Evaluation-time step bookkeeping: advances the active option and
-    /// applies its termination condition *without* storing anything into
-    /// the replay or opponent-model buffers.
+    /// Evaluation-time step bookkeeping: advances `cur`'s active option
+    /// and applies its termination condition *without* storing anything
+    /// into the replay or opponent-model buffers.
     pub fn observe_step_eval(
-        &mut self,
+        &self,
+        cur: &mut AgentCursor,
         next_state: &VehicleState,
         track: &Track,
         done: bool,
     ) {
-        if let Some(active) = self.cursor.active.as_mut() {
+        if let Some(active) = cur.active.as_mut() {
             active.tick();
             if done || active.terminated(next_state, track, &self.cfg) {
-                self.cursor.clear();
+                cur.clear();
             }
         }
     }
 
-    /// Forcibly terminates the active option (synchronous-termination
+    /// Forcibly terminates `cur`'s active option (synchronous-termination
     /// ablation, Sec. III-B). No-op when no option is active.
-    pub fn force_terminate(&mut self, next_obs: &[f32], done: bool) {
-        let mut cur = std::mem::take(&mut self.cursor);
-        self.force_terminate_in(&mut cur, next_obs, done);
-        self.cursor = cur;
-    }
-
-    /// [`HeroAgent::force_terminate`] against an external per-world
-    /// [`AgentCursor`].
-    pub fn force_terminate_in(&mut self, cur: &mut AgentCursor, next_obs: &[f32], done: bool) {
+    pub fn force_terminate(&mut self, cur: &mut AgentCursor, next_obs: &[f32], done: bool) {
         if cur.active.is_some() {
-            self.close_segment_in(cur, next_obs, done);
+            self.close_segment(cur, next_obs, done);
         }
     }
 
-    fn close_segment_in(&mut self, cur: &mut AgentCursor, next_obs: &[f32], done: bool) {
+    fn close_segment(&mut self, cur: &mut AgentCursor, next_obs: &[f32], done: bool) {
+        // Both callers checked for an active option; its segment opened
+        // with it.
         let active = cur.active.take().expect("close_segment with active option");
         let segment = cur.segment.take().expect("segment matches active option");
         hero_rl::telemetry::observe("reward/option_segment", segment.reward as f64);
@@ -491,16 +429,7 @@ impl HeroAgent {
     /// Captures the agent's full state — high-level learner, opponent
     /// model, and selection/loss bookkeeping — as named sections (relative
     /// names; the caller prefixes them per agent).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called mid-option-segment: snapshots are only taken at
-    /// episode boundaries, where no option is active.
     pub fn save_state(&self) -> Vec<(String, Vec<u8>)> {
-        assert!(
-            self.cursor.is_idle(),
-            "agent state can only be captured at an episode boundary"
-        );
         let mut sections: Vec<(String, Vec<u8>)> = self
             .high
             .save_state()
@@ -521,8 +450,7 @@ impl HeroAgent {
     }
 
     /// Restores state captured by [`HeroAgent::save_state`] into an agent
-    /// built with the same dimensions and config. Any active option is
-    /// discarded (the snapshot was taken at an episode boundary).
+    /// built with the same dimensions and config.
     ///
     /// # Errors
     ///
@@ -557,7 +485,6 @@ impl HeroAgent {
         self.opponent.load_state(&strip("opp/"))?;
         self.selections = selections;
         self.opponent_losses = opponent_losses;
-        self.cursor.clear();
         Ok(())
     }
 }
@@ -589,43 +516,63 @@ mod tests {
     fn ensure_option_is_sticky_until_termination() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
         let obs = [0.1, 0.2, 0.3];
-        let o1 = agent.ensure_option(&obs, &state(0.2), &track, &[0], &mut rng, false);
-        let o2 = agent.ensure_option(&obs, &state(0.2), &track, &[0], &mut rng, false);
+        let o1 = agent.ensure_option(&mut cur, &obs, &state(0.2), &track, &[0], &mut rng, false);
+        let o2 = agent.ensure_option(&mut cur, &obs, &state(0.2), &track, &[0], &mut rng, false);
         assert_eq!(o1, o2, "option persists until β fires");
-        assert!(agent.current_option().is_some());
+        assert!(cur.current_option().is_some());
     }
 
     #[test]
     fn segment_closes_into_buffer_on_termination() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
         let obs = [0.1, 0.2, 0.3];
-        agent.ensure_option(&obs, &state(0.2), &track, &[2], &mut rng, true);
+        agent.ensure_option(&mut cur, &obs, &state(0.2), &track, &[2], &mut rng, true);
         let mut terminated = false;
         // In-lane options terminate after `in_lane_option_duration` (3) at
         // the latest; lane change needs the budget (9).
         for _ in 0..10 {
-            terminated =
-                agent.record_step(&obs, &[2], 0.5, &[0.2, 0.2, 0.2], &state(0.2), &track, false);
+            terminated = agent.record_step(
+                &mut cur,
+                &obs,
+                &[2],
+                0.5,
+                &[0.2, 0.2, 0.2],
+                &state(0.2),
+                &track,
+                false,
+            );
             if terminated {
                 break;
             }
         }
         assert!(terminated);
         assert_eq!(agent.buffer_len(), 1);
-        assert!(agent.current_option().is_none(), "slot freed for re-selection");
+        assert!(cur.current_option().is_none(), "slot freed for re-selection");
     }
 
     #[test]
     fn done_always_closes_segment() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
-        agent.ensure_option(&[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
-        let t = agent.record_step(&[0.0; 3], &[0], -20.0, &[0.0; 3], &state(0.2), &track, true);
+        agent.ensure_option(&mut cur, &[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
+        let t = agent.record_step(
+            &mut cur,
+            &[0.0; 3],
+            &[0],
+            -20.0,
+            &[0.0; 3],
+            &state(0.2),
+            &track,
+            true,
+        );
         assert!(t);
         assert_eq!(agent.buffer_len(), 1);
     }
@@ -634,11 +581,12 @@ mod tests {
     fn force_terminate_closes_and_is_idempotent() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
-        agent.ensure_option(&[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
-        agent.force_terminate(&[0.0; 3], false);
+        agent.ensure_option(&mut cur, &[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
+        agent.force_terminate(&mut cur, &[0.0; 3], false);
         assert_eq!(agent.buffer_len(), 1);
-        agent.force_terminate(&[0.0; 3], false);
+        agent.force_terminate(&mut cur, &[0.0; 3], false);
         assert_eq!(agent.buffer_len(), 1, "no active option, no-op");
     }
 
@@ -646,17 +594,19 @@ mod tests {
     fn discounted_accumulation_matches_hand_computation() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
         let gamma = cfg().gamma;
-        agent.ensure_option(&[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
+        agent.ensure_option(&mut cur, &[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
         // Close after exactly 2 steps with rewards 1.0 and 2.0 by forcing.
-        agent.record_step(&[0.0; 3], &[0], 1.0, &[0.0; 3], &state(0.2), &track, false);
+        let zeros = [0.0; 3];
+        agent.record_step(&mut cur, &zeros, &[0], 1.0, &zeros, &state(0.2), &track, false);
         // If the option already terminated (in-lane duration 3 > 2, so it
         // has not), record one more then force.
-        if agent.current_option().is_some() {
-            agent.record_step(&[0.0; 3], &[0], 2.0, &[0.0; 3], &state(0.2), &track, false);
+        if cur.current_option().is_some() {
+            agent.record_step(&mut cur, &zeros, &[0], 2.0, &zeros, &state(0.2), &track, false);
         }
-        agent.force_terminate(&[0.0; 3], false);
+        agent.force_terminate(&mut cur, &zeros, false);
         // Expected accumulated reward: 1 + γ·2 (when two steps ran).
         // Inspect through the learner's Q after training is overkill here;
         // instead assert the buffer holds exactly one closed segment.
@@ -668,10 +618,11 @@ mod tests {
     fn begin_episode_discards_partial_segment() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
+        let mut cur = AgentCursor::new();
         let track = Track::double_lane();
-        agent.ensure_option(&[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
-        agent.begin_episode();
-        assert!(agent.current_option().is_none());
+        agent.ensure_option(&mut cur, &[0.0; 3], &state(0.2), &track, &[0], &mut rng, true);
+        cur.clear();
+        assert!(cur.current_option().is_none());
         assert_eq!(agent.buffer_len(), 0, "partial segment dropped, not stored");
     }
 }

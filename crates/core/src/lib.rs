@@ -50,6 +50,7 @@
 pub mod agent;
 pub mod checkpoint;
 pub mod config;
+mod engine;
 pub mod highlevel;
 pub mod opponent;
 pub mod options;

@@ -1,61 +1,59 @@
-//! The actor/learner rollout engine: environment stepping on dedicated
-//! actor threads, learning on a single learner thread.
+//! The supervised actor fleet: the training loop's host for worlds stepped
+//! on dedicated actor threads.
 //!
-//! Each actor owns a seeded [`BatchWorld`] shard and does nothing but
-//! reset/step worlds on request; all decisions, replay ingestion, updates,
-//! telemetry, and checkpoints happen on the learner thread. Messages flow
-//! over bounded channels (backpressure, stall detection via
-//! `recv_timeout`).
+//! [`train_team_actor_learner`] runs the one training loop (the same one
+//! [`crate::trainer::train_team_checkpointed`] runs in process) on a
+//! fleet host. Each actor owns a seeded [`BatchWorld`] shard and does
+//! nothing but reset/step worlds on request; all decisions, replay
+//! ingestion, updates, telemetry, and checkpoints happen on the learner
+//! thread. Messages flow over bounded channels (backpressure, stall
+//! detection via `recv_timeout`).
 //!
 //! Two modes, selected by [`RolloutOptions::batch_worlds`]:
 //!
-//! * **Serial** (`batch_worlds == 1`): one episode in flight at a time,
-//!   hosted round-robin across actors. The logical environment RNG stream
-//!   lives on the learner and is shipped with every `Reset`, so the run is
-//!   **bit-identical to sequential [`crate::trainer::train_team`]** — same
-//!   metric series, same telemetry totals, same checkpoint bytes — for any
-//!   actor count. A stalled actor is detected, counted under
-//!   `actor/stalled`, and its episode re-dispatched to a live actor.
+//! * **Serial** (`batch_worlds == 1`): one world, hosted round-robin
+//!   across actors, one episode at a time. The learner owns the world's
+//!   environment RNG stream and ships it with every `Reset`, so the run is
+//!   **bit-identical to [`crate::trainer::train_team`]** — same metric
+//!   series, same telemetry totals, same checkpoint bytes — for any actor
+//!   count, and a checkpoint written by either resumes on the other.
 //! * **Batched** (`batch_worlds > 1`): `actors × batch_worlds` world
-//!   replicas (independent streams via
-//!   [`hero_sim::env::replica_seed`]) run waves of episodes concurrently;
-//!   policy forward passes for all deciding worlds are batched into single
-//!   tiled matmuls ([`crate::agent::HeroAgent::batch_logits`]). Batched
-//!   runs are self-reproducible (same seeds → same bits, and kill/resume
-//!   is bit-identical via the checkpoint `workers` section) but not
+//!   replicas (independent streams via [`hero_sim::env::replica_seed`]),
+//!   world `g` pinned to local slot `g % batch_worlds` of actor
+//!   `g / batch_worlds`, run waves of episodes concurrently. Batched runs
+//!   are self-reproducible (same seeds → same bits, and kill/resume is
+//!   bit-identical via the checkpoint `workers` section) but not
 //!   step-for-step equal to sequential training: matmul accumulation
 //!   order differs across batch shapes and episodes interleave.
 //!
-//! Waves never cross a `kill@ep:N` or checkpoint boundary, so fault
-//! injection and snapshot cadence behave exactly as in the sequential
-//! loop.
-//!
 //! ## Supervision
 //!
-//! The learner doubles as a supervisor over the actor fleet. Each actor
-//! slot keeps its thread's [`JoinHandle`], so a failure is classified at
-//! detection time: a `recv_timeout` **timeout** is a stall
-//! (`actor/stalled`), a **disconnect** means the thread exited — joining
-//! the handle harvests the panic payload (`actor/panicked`). Failed slots
-//! climb an escalation ladder:
+//! The host supervises the fleet. Each actor slot keeps its thread's
+//! [`JoinHandle`], so a failure is classified at detection time: a
+//! `recv_timeout` **timeout** is a stall (`actor/stalled`), a
+//! **disconnect** means the thread exited — joining the handle harvests
+//! the panic payload (`actor/panicked`). Failed slots climb an escalation
+//! ladder:
 //!
 //! 1. **Respawn** — while `respawns_used < max_respawns`, the slot gets a
 //!    fresh thread, shard, and channels after a deterministic exponential
 //!    backoff (`respawn_backoff_ms << respawns_used`, capped). Because the
 //!    learner owns every world's RNG stream, each episode's start stream,
-//!    and the per-episode command log, a respawned shard is rebuilt
-//!    bit-identically: reset with the episode-start stream, replay the
-//!    logged commands (discarding already-ingested replies and telemetry),
-//!    and ingest only the missing reply. Counted under `actor/respawned`.
+//!    and the per-episode command log, a world lost mid-episode is
+//!    rebuilt bit-identically on a live actor (any actor in serial mode,
+//!    the respawned slot in batched mode): reset with the episode-start
+//!    stream, replay the logged commands (discarding already-ingested
+//!    replies and telemetry), and ingest only the missing reply. Counted
+//!    under `actor/respawned` and `actor/replayed_steps`.
 //! 2. **Degrade** — a slot that exhausts its budget is retired for good
 //!    (`supervisor/degraded`); the run continues on fewer actors, which in
-//!    serial mode cannot perturb a single bit of the output.
-//! 3. **Abort** — when no live actor remains, the learner writes an
-//!    emergency checkpoint if it is at a clean episode boundary (mid-episode
-//!    state is half-ingested and would poison a resume —
-//!    `supervisor/emergency_skipped`), then fails typed with
-//!    [`TrainError::FleetLost`] instead of deadlocking or returning a
-//!    silent partial run.
+//!    serial mode cannot perturb a single bit of the output. In batched
+//!    mode the retired slot's in-flight episodes are abandoned
+//!    (`supervisor/abandoned_worlds`) and re-run as fresh episodes.
+//! 3. **Abort** — when no live actor remains, the loop writes an
+//!    emergency checkpoint if it is at a clean episode boundary, then
+//!    fails typed with [`TrainError::FleetLost`] instead of deadlocking or
+//!    returning a silent partial run.
 //!
 //! Fault-plan actor faults (`stall@actor:N`, `panic@actor:N`,
 //! `slow@actor:N:MS`) apply to generation 0 of a slot only, so a chaos
@@ -68,24 +66,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crossbeam::channel;
-use hero_faultplan::KillMode;
-use hero_rl::metrics::Recorder;
 use hero_rl::telemetry;
 use hero_rl::telemetry::{CapturedEvent, FlightEventKind};
 use hero_sim::batch::BatchWorld;
-use hero_sim::env::{CooperativeWorld, EnvConfig, LaneChangeEnv, Observation, VehicleSpawn};
-use hero_sim::track::Track;
-use hero_sim::vehicle::{VehicleCommand, VehicleState};
+use hero_sim::env::{CooperativeWorld, EnvConfig, LaneChangeEnv, VehicleSpawn};
+use hero_sim::vehicle::VehicleCommand;
 
-use crate::checkpoint::{self, CheckpointStore, TrainerSnapshot, WorkerStates};
-use crate::trainer::{
-    restore_snapshot, CheckpointConfig, HeroTeam, TeamCursor, TrainError, TrainOptions,
-    TrainOutcome,
-};
+use crate::engine::{self, FleetLost, Shape, StepReply, WorldFlags, WorldHost, WorldView};
+use crate::trainer::{CheckpointConfig, HeroTeam, TrainError, TrainOptions, TrainOutcome};
 
 /// Knobs of the actor/learner rollout engine.
 #[derive(Clone, Copy, Debug)]
@@ -131,15 +120,6 @@ impl RolloutOptions {
     }
 }
 
-/// Per-vehicle episode-outcome flags shipped from actor to learner (what
-/// the sequential loop reads off the environment after each step).
-#[derive(Clone, Debug, Default)]
-struct WorldFlags {
-    collided: Vec<bool>,
-    needs_merge: Vec<bool>,
-    has_merged: Vec<bool>,
-}
-
 enum ToActor {
     /// Reset local world `world`, first seating its RNG stream at `rng`
     /// (the learner owns every stream; actors are stateless compute).
@@ -151,37 +131,47 @@ enum ToActor {
     },
 }
 
+/// One stepped world as an actor ships it.
 struct WorldStepMsg {
-    world: usize,
-    observations: Vec<Observation>,
-    states: Vec<VehicleState>,
-    rewards: Vec<f32>,
-    done: bool,
-    mean_speed: f32,
+    reply: StepReply,
     flags: WorldFlags,
 }
 
 enum FromActor {
+    /// The reset world's start state and its RNG stream after the reset.
     ResetDone {
-        world: usize,
-        observations: Vec<Observation>,
-        states: Vec<VehicleState>,
-        rng: Vec<u64>,
+        view: WorldView,
         flags: WorldFlags,
-        events: Vec<CapturedEvent>,
+        rng: Vec<u64>,
     },
-    StepDone {
-        steps: Vec<WorldStepMsg>,
-        events: Vec<CapturedEvent>,
-    },
+    /// One result per requested world, in request order.
+    StepDone(Vec<WorldStepMsg>),
 }
 
-fn flags_of(shard: &BatchWorld, w: usize, n: usize) -> WorldFlags {
-    WorldFlags {
-        collided: (0..n).map(|i| shard.has_collided(w, i)).collect(),
-        needs_merge: (0..n).map(|i| shard.needs_merge(w, i)).collect(),
-        has_merged: (0..n).map(|i| shard.has_merged(w, i)).collect(),
+/// A reply plus the telemetry the actor captured while serving it.
+type Reply = (FromActor, Vec<CapturedEvent>);
+
+fn view_of(
+    shard: &BatchWorld,
+    w: usize,
+    observations: Vec<hero_sim::env::Observation>,
+) -> WorldView {
+    let states = (0..shard.num_vehicles())
+        .map(|i| shard.vehicle_state(w, i))
+        .collect();
+    WorldView {
+        observations,
+        states,
     }
+}
+
+fn flags_of(shard: &BatchWorld, w: usize) -> WorldFlags {
+    WorldFlags::read(
+        shard.num_vehicles(),
+        |i| shard.has_collided(w, i),
+        |i| shard.needs_merge(w, i),
+        |i| shard.has_merged(w, i),
+    )
 }
 
 /// Fault-plan behavior injected into one actor incarnation. Only
@@ -194,17 +184,11 @@ struct ActorFault {
     slow_ms: Option<u64>,
 }
 
-impl ActorFault {
-    fn healthy() -> Self {
-        Self::default()
-    }
-}
-
 /// One supervised actor slot: the live incarnation's channels and join
 /// handle plus the slot's position on the escalation ladder.
 struct ActorSlot {
     tx: channel::Sender<ToActor>,
-    rx: channel::Receiver<FromActor>,
+    rx: channel::Receiver<Reply>,
     /// Taken when the thread is joined (panic harvest or teardown).
     handle: Option<JoinHandle<()>>,
     /// Incarnation counter; generation 0 is the original spawn.
@@ -231,7 +215,7 @@ struct ActorSpawner {
 impl ActorSpawner {
     fn spawn(&self, index: usize, generation: u64, fault: ActorFault) -> ActorSlot {
         let (tx_cmd, rx_cmd) = channel::bounded::<ToActor>(self.cap);
-        let (tx_res, rx_res) = channel::bounded::<FromActor>(self.cap);
+        let (tx_res, rx_res) = channel::bounded::<Reply>(self.cap);
         let cfg = self.env_cfg;
         let spawns = self.spawns.clone();
         let (seed, worlds, capture) = (self.seed, self.worlds, self.capture);
@@ -239,8 +223,12 @@ impl ActorSpawner {
         let handle = std::thread::Builder::new()
             .name(format!("hero-actor-{index}-gen{generation}"))
             .spawn(move || {
-                actor_loop(cfg, spawns, seed, worlds, rx_cmd, tx_res, capture, fault, shutdown)
+                actor_loop(
+                    cfg, spawns, seed, worlds, rx_cmd, tx_res, capture, fault, shutdown,
+                )
             })
+            // Thread creation fails only when the OS is out of threads or
+            // memory, which no training run can recover from.
             .expect("spawn actor thread");
         ActorSlot {
             tx: tx_cmd,
@@ -266,7 +254,7 @@ fn actor_loop(
     seed: u64,
     worlds: usize,
     rx: channel::Receiver<ToActor>,
-    tx: channel::Sender<FromActor>,
+    tx: channel::Sender<Reply>,
     capture: bool,
     fault: ActorFault,
     shutdown: Arc<AtomicBool>,
@@ -288,7 +276,6 @@ fn actor_loop(
     let proto = LaneChangeEnv::new(cfg, spawns, seed);
     let mut shard = BatchWorld::replicate(&proto, worlds);
     let _ = telemetry::take_capture();
-    let n = shard.num_vehicles();
     while let Ok(msg) = rx.recv() {
         if capture {
             telemetry::begin_capture();
@@ -298,12 +285,9 @@ fn actor_loop(
                 shard.set_rng_state(world, &rng);
                 let observations = shard.reset_world(world);
                 FromActor::ResetDone {
-                    world,
-                    states: (0..n).map(|i| shard.vehicle_state(world, i)).collect(),
+                    view: view_of(&shard, world, observations),
+                    flags: flags_of(&shard, world),
                     rng: shard.rng_state(world),
-                    flags: flags_of(&shard, world, n),
-                    observations,
-                    events: Vec::new(),
                 }
             }
             ToActor::Step { worlds, commands } => {
@@ -312,19 +296,16 @@ fn actor_loop(
                     .iter()
                     .zip(outs)
                     .map(|(&w, out)| WorldStepMsg {
-                        world: w,
-                        states: (0..n).map(|i| shard.vehicle_state(w, i)).collect(),
-                        flags: flags_of(&shard, w, n),
-                        observations: out.observations,
-                        rewards: out.rewards,
-                        done: out.done,
-                        mean_speed: out.mean_speed,
+                        reply: StepReply {
+                            view: view_of(&shard, w, out.observations),
+                            rewards: out.rewards,
+                            done: out.done,
+                            mean_speed: out.mean_speed,
+                        },
+                        flags: flags_of(&shard, w),
                     })
                     .collect();
-                FromActor::StepDone {
-                    steps,
-                    events: Vec::new(),
-                }
+                FromActor::StepDone(steps)
             }
         };
         let events = if capture {
@@ -332,30 +313,12 @@ fn actor_loop(
         } else {
             Vec::new()
         };
-        let reply = match reply {
-            FromActor::ResetDone {
-                world,
-                observations,
-                states,
-                rng,
-                flags,
-                ..
-            } => FromActor::ResetDone {
-                world,
-                observations,
-                states,
-                rng,
-                flags,
-                events,
-            },
-            FromActor::StepDone { steps, .. } => FromActor::StepDone { steps, events },
-        };
         if let Some(ms) = fault.slow_ms {
             // Injected fault: delay every reply (wall-clock only; the
             // reply bytes are untouched, so data stays bit-identical).
             std::thread::sleep(Duration::from_millis(ms));
         }
-        if tx.send(reply).is_err() {
+        if tx.send((reply, events)).is_err() {
             break;
         }
     }
@@ -386,56 +349,154 @@ impl LiveNames {
     }
 }
 
-/// Learner-side state shared by the serial and batched loops.
-struct Learner<'a> {
-    team: &'a mut HeroTeam,
-    rng: &'a mut StdRng,
-    rec: &'a mut Recorder,
-    cursors: &'a mut Vec<TeamCursor>,
-    world_rng: &'a mut Vec<Vec<u64>>,
-    step_counter: &'a mut usize,
-    update_counter: &'a mut usize,
-    store: &'a mut Option<CheckpointStore>,
-    opts: &'a TrainOptions,
-    ckpt: &'a CheckpointConfig,
-    rollout: &'a RolloutOptions,
-    track: Track,
-    learners: Vec<usize>,
-    n_vehicles: usize,
+/// The supervised fleet host: owns the actor threads, their channels, the
+/// respawn ladder, every world's environment RNG stream, and the
+/// per-episode replay log that rebuilds a world lost mid-episode.
+struct FleetHost<'e> {
+    /// The caller's environment; its stream continues as world 0's.
+    env: &'e mut LaneChangeEnv,
+    rollout: RolloutOptions,
+    /// One world, placed round-robin per episode (serial mode), instead of
+    /// worlds pinned to actor shards (batched mode).
+    serial: bool,
+    world_rng: Vec<Vec<u64>>,
+    /// Each world's stream at the start of its running episode, and the
+    /// commands stepped since: enough to replay the episode anywhere.
+    ep_rng0: Vec<Vec<u64>>,
+    cmd_log: Vec<Vec<Vec<VehicleCommand>>>,
+    flags: Vec<WorldFlags>,
+    /// The actor hosting each world's running episode.
+    host_of: Vec<usize>,
+    /// The first episode of the running wave (serial placement).
+    episode: usize,
     slots: Vec<ActorSlot>,
+    dead: Vec<bool>,
     spawner: ActorSpawner,
     /// Joined at teardown: threads of replaced incarnations that may
     /// still be sleeping on the shutdown flag (stalled generation 0s).
     zombies: Vec<JoinHandle<()>>,
-    dead: Vec<bool>,
-    start_episode: usize,
     // The `live/` observability plane: wall-clock process state feeding
     // the metrics exporter and `hero-top`. Never consulted by any
     // training decision, so it cannot perturb determinism.
     engine_start: Instant,
     outstanding: Vec<u64>,
     busy_us: Vec<u64>,
-    wave_no: u64,
-    pending_redispatch: Vec<usize>,
     names: LiveNames,
 }
 
-impl Learner<'_> {
-    /// Honors a `kill@ep:N` fault exactly like the sequential loop.
-    fn kill_check(&mut self, episode: usize, episodes_run: usize) -> Option<(bool, usize)> {
-        if self.ckpt.fault_plan.should_kill(episode) {
-            telemetry::counter_add("checkpoint/fault_kill", 1);
-            telemetry::flight_event(FlightEventKind::KillInjected {
-                episode: episode as u64,
-            });
-            telemetry::mark_faulted();
-            let _ = telemetry::flush();
-            match self.ckpt.kill_mode {
-                KillMode::Exit => std::process::exit(137),
-                KillMode::Return => return Some((false, episodes_run)),
+impl<'e> FleetHost<'e> {
+    fn spawn(
+        env: &'e mut LaneChangeEnv,
+        ckpt: &CheckpointConfig,
+        rollout: &RolloutOptions,
+    ) -> Self {
+        let actors = rollout.actors;
+        let per_actor = rollout.batch_worlds;
+        let serial = per_actor == 1;
+        let worlds = if serial { 1 } else { actors * per_actor };
+        // World 0 is the caller's env stream (so serial mode continues it
+        // exactly); worlds g > 0 get independent replica streams. Replica
+        // construction senses each world once purely to read its RNG
+        // stream; capture and discard that telemetry, because a resumed
+        // run imports the checkpoint's totals (which already counted the
+        // original construction) and then rebuilds the replicas again —
+        // without the discard its sensor counters would exceed an
+        // uninterrupted run's.
+        telemetry::begin_capture();
+        let world_rng: Vec<Vec<u64>> = (0..worlds)
+            .map(|g| {
+                if g == 0 {
+                    env.rng_state()
+                } else {
+                    env.replica(g).rng_state()
+                }
+            })
+            .collect();
+        let _ = telemetry::take_capture();
+        let spawner = ActorSpawner {
+            env_cfg: *env.config(),
+            spawns: env.spawns().to_vec(),
+            seed: env.seed(),
+            worlds: per_actor,
+            cap: rollout.channel_capacity.max(per_actor).max(1),
+            capture: telemetry::is_enabled(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
+        // Generation 0 carries the fault plan's actor faults; respawned
+        // incarnations are always healthy.
+        let slots = (0..actors)
+            .map(|a| {
+                let fault = ActorFault {
+                    stall: ckpt.fault_plan.stall_actor(a),
+                    panic: ckpt.fault_plan.panic_actor(a),
+                    slow_ms: ckpt.fault_plan.slow_actor_ms(a),
+                };
+                spawner.spawn(a, 0, fault)
+            })
+            .collect();
+        Self {
+            env,
+            rollout: *rollout,
+            serial,
+            world_rng,
+            ep_rng0: vec![Vec::new(); worlds],
+            cmd_log: vec![Vec::new(); worlds],
+            flags: vec![WorldFlags::default(); worlds],
+            host_of: vec![0; worlds],
+            episode: 0,
+            slots,
+            dead: vec![false; actors],
+            spawner,
+            zombies: Vec::new(),
+            engine_start: Instant::now(),
+            outstanding: vec![0; actors],
+            busy_us: vec![0; actors],
+            names: LiveNames::new(actors),
+        }
+    }
+
+    /// Teardown: wakes any stalled (sleeping) incarnations, closes every
+    /// command channel, and joins all threads — current slots and the
+    /// zombies left behind by respawns — so no actor outlives the run.
+    /// Then advances the caller's env to world 0's stream, so downstream
+    /// evaluation behaves exactly as after an in-process run.
+    fn shutdown(self) {
+        self.spawner.shutdown.store(true, Ordering::Relaxed);
+        for slot in self.slots {
+            let ActorSlot { tx, rx, handle, .. } = slot;
+            drop(tx);
+            drop(rx);
+            if let Some(h) = handle {
+                // An injected panic that was never observed mid-run still
+                // surfaces here; the payload is intentionally discarded.
+                let _ = h.join();
             }
         }
-        None
+        for h in self.zombies {
+            let _ = h.join();
+        }
+        self.env.set_rng_state(&self.world_rng[0]);
+    }
+
+    /// Local slot of world `g` on its actor's shard.
+    fn local(&self, g: usize) -> usize {
+        g % self.rollout.batch_worlds
+    }
+
+    /// The actor world `g` runs on in its `offset`-th placement, if that
+    /// placement exists: serial mode tries every actor round-robin from
+    /// the episode index, batched worlds have only their own shard.
+    fn placement(&self, g: usize, offset: usize) -> Option<usize> {
+        let actors = self.slots.len();
+        if self.serial {
+            (offset < actors).then(|| (self.episode + offset) % actors)
+        } else {
+            (offset == 0).then(|| g / self.rollout.batch_worlds)
+        }
+    }
+
+    fn live_actors(&self) -> usize {
+        self.dead.iter().filter(|d| !**d).count()
     }
 
     fn mark_stalled(&mut self, a: usize) {
@@ -446,7 +507,6 @@ impl Learner<'_> {
             // A stall is a fault: leave the flight recorder behind for
             // post-mortem even when the surviving actors finish the run.
             telemetry::mark_faulted();
-            self.pending_redispatch.push(a);
             telemetry::progress(&format!("actor {a} stalled; re-dispatching its work"));
         }
     }
@@ -474,7 +534,6 @@ impl Learner<'_> {
         telemetry::counter_add("actor/panicked", 1);
         telemetry::flight_event(FlightEventKind::ActorPanicked { actor: a as u64 });
         telemetry::mark_faulted();
-        self.pending_redispatch.push(a);
         telemetry::progress(&format!("actor {a} {detail}; harvesting its work"));
     }
 
@@ -511,7 +570,7 @@ impl Learner<'_> {
                 std::thread::sleep(Duration::from_millis(backoff));
             }
             let generation = self.slots[a].generation + 1;
-            let mut fresh = self.spawner.spawn(a, generation, ActorFault::healthy());
+            let mut fresh = self.spawner.spawn(a, generation, ActorFault::default());
             fresh.respawns_used = used + 1;
             let old = std::mem::replace(&mut self.slots[a], fresh);
             // Dropping the old channels lets a merely-slow thread exit on
@@ -529,49 +588,6 @@ impl Learner<'_> {
             });
             telemetry::progress(&format!("actor {a} respawned (generation {generation})"));
         }
-    }
-
-    /// The ladder's last rung: no live actor remains. Saves an emergency
-    /// checkpoint when at a clean episode boundary (`boundary` carries the
-    /// next episode index and, in batched mode, the worker states), marks
-    /// the run faulted, and returns the typed abort for the caller to
-    /// propagate.
-    fn fleet_lost(
-        &mut self,
-        boundary: Option<(usize, Option<WorkerStates>)>,
-        episodes_run: usize,
-    ) -> TrainError {
-        telemetry::counter_add("supervisor/fleet_lost", 1);
-        telemetry::mark_faulted();
-        let saved = match boundary {
-            Some((next_episode, workers)) => self.save_checkpoint(next_episode, workers),
-            None => {
-                // Mid-episode state is half-ingested; snapshotting it
-                // would poison a resume, so the ladder skips the save.
-                telemetry::counter_add("supervisor/emergency_skipped", 1);
-                false
-            }
-        };
-        if saved {
-            telemetry::counter_add("supervisor/emergency_saved", 1);
-        }
-        telemetry::flight_event(FlightEventKind::EmergencyCheckpoint {
-            episodes: episodes_run as u64,
-            saved: saved as u64,
-        });
-        telemetry::progress(&format!(
-            "actor fleet lost after {episodes_run} episode(s); emergency checkpoint {}",
-            if saved { "saved" } else { "not saved" }
-        ));
-        let _ = telemetry::flush();
-        TrainError::FleetLost {
-            episodes_run,
-            emergency_checkpoint_saved: saved,
-        }
-    }
-
-    fn live_actors(&self) -> usize {
-        self.dead.iter().filter(|d| !**d).count()
     }
 
     /// Refreshes the aggregate queue/actor gauges. Only called from
@@ -594,769 +610,303 @@ impl Learner<'_> {
     }
 
     /// Sends a request to actor `a`, timing how long the bounded channel
-    /// blocked and maintaining the queue-depth plane. Returns `false` on
-    /// disconnect (caller classifies the failure via
-    /// [`Self::mark_disconnected`]).
+    /// blocked and maintaining the queue-depth plane. A disconnect marks
+    /// the actor dead and returns `false`.
     fn send_to(&mut self, a: usize, msg: ToActor) -> bool {
-        if telemetry::disabled() {
-            return self.slots[a].tx.send(msg).is_ok();
-        }
-        let t0 = Instant::now();
+        let t0 = (!telemetry::disabled()).then(Instant::now);
         let ok = self.slots[a].tx.send(msg).is_ok();
-        telemetry::live_observe(
-            &self.names.blocked_send[a],
-            t0.elapsed().as_secs_f64() * 1e6,
-        );
-        if ok {
-            self.outstanding[a] += 1;
-            telemetry::live_observe(&self.names.queue_depth[a], self.outstanding[a] as f64);
+        if let Some(t0) = t0 {
+            telemetry::live_observe(
+                &self.names.blocked_send[a],
+                t0.elapsed().as_secs_f64() * 1e6,
+            );
+            if ok {
+                self.outstanding[a] += 1;
+                telemetry::live_observe(&self.names.queue_depth[a], self.outstanding[a] as f64);
+            }
+            self.refresh_live_gauges();
         }
-        self.refresh_live_gauges();
+        if !ok {
+            self.mark_disconnected(a);
+        }
         ok
     }
 
-    /// Receives one message from actor `a`, classifying failures: a
-    /// timeout marks it stalled, a disconnect joins the thread and
-    /// harvests its panic. Returns `None` on either.
-    fn recv(&mut self, a: usize) -> Option<FromActor> {
-        if telemetry::disabled() {
-            return match self.slots[a].rx.recv_timeout(self.rollout.stall_timeout) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    self.note_recv_failure(a, e);
-                    None
-                }
-            };
-        }
-        let t0 = Instant::now();
+    /// Receives one reply from actor `a`. A timeout marks the actor
+    /// stalled, a disconnect joins the thread and harvests its panic;
+    /// either returns `None`.
+    fn recv(&mut self, a: usize) -> Option<Reply> {
+        let t0 = (!telemetry::disabled()).then(Instant::now);
         match self.slots[a].rx.recv_timeout(self.rollout.stall_timeout) {
-            Ok(m) => {
-                // The learner's wait for this reply approximates the
-                // actor's busy time (request/reply protocol); its ratio
-                // against engine wall-clock is the utilization gauge.
-                self.busy_us[a] += t0.elapsed().as_micros() as u64;
-                let elapsed_us = self.engine_start.elapsed().as_micros().max(1) as u64;
-                telemetry::gauge_set(
-                    &self.names.util[a],
-                    (self.busy_us[a] as f64 / elapsed_us as f64).min(1.0),
-                );
-                telemetry::gauge_set(
-                    &self.names.heartbeat[a],
-                    telemetry::elapsed_s().unwrap_or_default(),
-                );
-                self.outstanding[a] = self.outstanding[a].saturating_sub(1);
-                self.refresh_live_gauges();
-                Some(m)
+            Ok((reply, events)) => {
+                if let Some(t0) = t0 {
+                    // The learner's wait for this reply approximates the
+                    // actor's busy time (request/reply protocol); its
+                    // ratio against engine wall-clock is the utilization
+                    // gauge.
+                    self.busy_us[a] += t0.elapsed().as_micros() as u64;
+                    let elapsed_us = self.engine_start.elapsed().as_micros().max(1) as u64;
+                    telemetry::gauge_set(
+                        &self.names.util[a],
+                        (self.busy_us[a] as f64 / elapsed_us as f64).min(1.0),
+                    );
+                    telemetry::gauge_set(
+                        &self.names.heartbeat[a],
+                        telemetry::elapsed_s().unwrap_or_default(),
+                    );
+                    self.outstanding[a] = self.outstanding[a].saturating_sub(1);
+                    self.refresh_live_gauges();
+                }
+                Some((reply, events))
             }
-            Err(e) => {
-                self.note_recv_failure(a, e);
+            Err(channel::RecvTimeoutError::Timeout) => {
+                self.mark_stalled(a);
+                None
+            }
+            Err(channel::RecvTimeoutError::Disconnected) => {
+                self.mark_disconnected(a);
                 None
             }
         }
     }
 
-    fn note_recv_failure(&mut self, a: usize, e: channel::RecvTimeoutError) {
-        match e {
-            channel::RecvTimeoutError::Timeout => self.mark_stalled(a),
-            channel::RecvTimeoutError::Disconnected => self.mark_disconnected(a),
-        }
+    fn take_step(&mut self, g: usize, msg: WorldStepMsg) -> StepReply {
+        self.flags[g] = msg.flags;
+        msg.reply
     }
 
-    fn mean_learner_reward(&self, rewards: &[f32]) -> f32 {
-        self.learners.iter().map(|&v| rewards[v]).sum::<f32>() / self.learners.len() as f32
-    }
-
-    /// The per-step update cadence, identical to the sequential loop
-    /// (call after incrementing the step counter).
-    fn run_update_cadence(&mut self) {
-        if *self.step_counter % self.opts.update_every == 0 {
-            let _update = telemetry::span("update");
-            let live_t0 = (!telemetry::disabled()).then(Instant::now);
-            if self.ckpt.fault_plan.nan_grad_at(*self.update_counter) {
-                if let Some(agent) = self.team.agents_mut().first_mut() {
-                    agent.poison_gradients();
-                }
-            }
-            *self.update_counter += 1;
-            if let Some((c, a)) = self.team.update(self.rng) {
-                telemetry::counter_add("grad_updates", 1);
-                telemetry::observe("critic_loss", c as f64);
-                telemetry::observe("actor_loss", a as f64);
-                self.rec.push("critic_loss", c);
-                self.rec.push("actor_loss", a);
-            }
-            if let Some(t0) = live_t0 {
-                telemetry::live_observe(
-                    "live/learner_update_us",
-                    t0.elapsed().as_secs_f64() * 1e6,
-                );
-            }
-        }
-    }
-
-    fn worker_states(&self) -> WorkerStates {
-        WorkerStates {
-            rngs: self.world_rng.clone(),
-            last_options: self
-                .cursors
-                .iter()
-                .map(|c| c.last_options().to_vec())
-                .collect(),
-        }
-    }
-
-    /// Returns whether a snapshot actually reached disk.
-    fn save_checkpoint(&mut self, next_episode: usize, workers: Option<WorkerStates>) -> bool {
-        self.team.absorb_cursor(&self.cursors[0]);
-        let snap = TrainerSnapshot {
-            next_episode,
-            step_counter: *self.step_counter,
-            update_counter: *self.update_counter,
-            trainer_rng: self.rng.state(),
-            env_rng: self.world_rng[0].clone(),
-            recorder: self.rec.clone(),
-            telemetry: telemetry::export_state(),
-            workers,
-            kernel_mode: hero_autograd::kernel_mode(),
-            team_sections: self.team.save_state(),
-        };
-        if let Some(store) = self.store.as_mut() {
-            store.save(&snap.to_sections(), &self.ckpt.fault_plan)
-        } else {
-            false
-        }
-    }
-
-    /// Serial-mode recovery from a mid-episode actor failure: rebuild the
-    /// episode on another (or a respawned) actor by reseating the
-    /// episode-start RNG stream and replaying the logged commands. Replies
-    /// and telemetry of already-ingested steps are discarded; the final
-    /// replayed step IS the missing reply, returned for normal ingestion.
-    /// `None` means the fleet is lost.
-    fn rehost_serial(
-        &mut self,
-        episode: usize,
-        ep_rng0: &[u64],
-        cmd_log: &[Vec<VehicleCommand>],
-    ) -> Option<(usize, WorldStepMsg, Vec<CapturedEvent>)> {
-        let actors = self.slots.len();
+    /// Rebuilds the running episodes of `group` (worlds that were on a
+    /// failed actor) on a live actor: reseat each episode-start stream,
+    /// replay the logged commands, and return the replies to the last
+    /// logged step — the ones the failure lost. Replies and telemetry of
+    /// steps already ingested are discarded. `Ok(None)` abandons the
+    /// group (its actor is retired and others survive).
+    fn recover(&mut self, group: &[usize]) -> Result<Option<Vec<StepReply>>, FleetLost> {
         loop {
             self.supervise_failed();
-            if self.live_actors() == 0 {
+            let candidates: Vec<usize> = (0..self.slots.len())
+                .filter_map(|offset| self.placement(group[0], offset))
+                .filter(|&c| !self.dead[c])
+                .collect();
+            if candidates.is_empty() {
+                if self.live_actors() == 0 {
+                    return Err(FleetLost);
+                }
+                telemetry::counter_add("supervisor/abandoned_worlds", group.len() as u64);
+                telemetry::progress(&format!(
+                    "abandoning {} in-flight episode(s) of a retired actor",
+                    group.len()
+                ));
+                return Ok(None);
+            }
+            for c in candidates {
+                if let Some(replies) = self.replay_onto(c, group) {
+                    return Ok(Some(replies));
+                }
+            }
+            // Every candidate failed while replaying; climb the ladder
+            // again (respawn budget permitting) or report the fleet lost.
+        }
+    }
+
+    /// Replays `group`'s running episodes on actor `c`; `None` when `c`
+    /// fails too.
+    fn replay_onto(&mut self, c: usize, group: &[usize]) -> Option<Vec<StepReply>> {
+        let mut replies = Vec::with_capacity(group.len());
+        let mut replayed = 0u64;
+        for &g in group {
+            let reset = ToActor::Reset {
+                world: self.local(g),
+                rng: self.ep_rng0[g].clone(),
+            };
+            if !self.send_to(c, reset) {
                 return None;
             }
-            'candidates: for offset in 0..actors {
-                let a = (episode + offset) % actors;
-                if self.dead[a] {
-                    continue;
-                }
-                let reset = ToActor::Reset {
-                    world: 0,
-                    rng: ep_rng0.to_vec(),
-                };
-                if !self.send_to(a, reset) {
-                    self.mark_disconnected(a);
-                    continue;
-                }
-                let Some(FromActor::ResetDone { rng, .. }) = self.recv(a) else {
-                    continue; // recv classified the failure
-                };
-                // The replayed reset must land exactly where the original
-                // did — the learner still holds that stream.
-                debug_assert_eq!(rng, self.world_rng[0]);
-                for (i, cmds) in cmd_log.iter().enumerate() {
-                    let step = ToActor::Step {
-                        worlds: vec![0],
-                        commands: vec![cmds.clone()],
-                    };
-                    if !self.send_to(a, step) {
-                        self.mark_disconnected(a);
-                        continue 'candidates;
-                    }
-                    let Some(FromActor::StepDone {
-                        steps: mut step_msgs,
-                        events,
-                    }) = self.recv(a)
-                    else {
-                        continue 'candidates;
-                    };
-                    if i + 1 == cmd_log.len() {
-                        telemetry::counter_add("actor/replayed_steps", i as u64);
-                        telemetry::flight_event(FlightEventKind::Redispatched {
-                            actor: a as u64,
-                            wave: episode as u64,
-                        });
-                        telemetry::progress(&format!(
-                            "episode {episode} recovered on actor {a} after replaying {i} step(s)"
-                        ));
-                        let msg = step_msgs.pop().expect("exactly one world stepped");
-                        return Some((a, msg, events));
-                    }
-                }
-            }
-            // Every candidate died while replaying; climb the ladder again
-            // (respawn budget permitting) or report the fleet lost.
-        }
-    }
-
-    /// Batched-mode recovery: replay actor `a`'s still-running worlds of
-    /// this wave onto a respawned incarnation. Returns `false` when the
-    /// slot is retired (its in-flight episodes are abandoned and re-run as
-    /// fresh episodes by the surviving fleet).
-    fn recover_actor_batched(
-        &mut self,
-        a: usize,
-        worlds_a: &[usize],
-        ep_rng0: &[Vec<u64>],
-        wave_cmd_log: &[Vec<Vec<VehicleCommand>>],
-        wave_no: u64,
-        msgs: &mut [Option<WorldStepMsg>],
-    ) -> bool {
-        let per_actor = self.rollout.batch_worlds;
-        'attempt: loop {
-            self.supervise_failed();
-            if self.dead[a] {
-                telemetry::counter_add("supervisor/abandoned_worlds", worlds_a.len() as u64);
-                telemetry::progress(&format!(
-                    "actor {a} unrecoverable; abandoning {} in-flight episode(s)",
-                    worlds_a.len()
-                ));
-                return false;
-            }
-            let mut replayed = 0u64;
-            for &g in worlds_a {
-                let w = g % per_actor;
-                let reset = ToActor::Reset {
-                    world: w,
-                    rng: ep_rng0[g].clone(),
-                };
-                if !self.send_to(a, reset) {
-                    self.mark_disconnected(a);
-                    continue 'attempt;
-                }
-                let Some(FromActor::ResetDone { .. }) = self.recv(a) else {
-                    continue 'attempt;
-                };
-                let log = &wave_cmd_log[g];
-                for (i, cmds) in log.iter().enumerate() {
-                    let step = ToActor::Step {
-                        worlds: vec![w],
-                        commands: vec![cmds.clone()],
-                    };
-                    if !self.send_to(a, step) {
-                        self.mark_disconnected(a);
-                        continue 'attempt;
-                    }
-                    let Some(FromActor::StepDone {
-                        steps: mut step_msgs,
-                        events,
-                    }) = self.recv(a)
-                    else {
-                        continue 'attempt;
-                    };
-                    if i + 1 == log.len() {
-                        telemetry::replay(events);
-                        msgs[g] = Some(step_msgs.pop().expect("exactly one world stepped"));
-                    } else {
-                        replayed += 1;
-                    }
-                }
-            }
-            telemetry::counter_add("actor/replayed_steps", replayed);
-            telemetry::flight_event(FlightEventKind::Redispatched {
-                actor: a as u64,
-                wave: wave_no,
-            });
-            telemetry::progress(&format!(
-                "wave {wave_no} recovered actor {a}'s {} world(s) after replaying {replayed} step(s)",
-                worlds_a.len()
-            ));
-            return true;
-        }
-    }
-
-    /// Serial mode: one episode at a time, round-robin over live actors,
-    /// single learner-owned environment stream. Bit-identical to
-    /// [`crate::trainer::train_team_checkpointed`] — including across
-    /// actor failures, because every episode can be replayed from its
-    /// start stream and command log.
-    fn serial_run(&mut self) -> Result<(bool, usize), TrainError> {
-        let actors = self.slots.len();
-        let mut episodes_run = 0usize;
-        for episode in self.start_episode..self.opts.episodes {
-            if let Some(out) = self.kill_check(episode, episodes_run) {
-                return Ok(out);
-            }
-            self.supervise_failed();
-            if self.live_actors() == 0 {
-                return Err(self.fleet_lost(Some((episode, None)), episodes_run));
-            }
-            // Serial mode: one episode == one wave of one world.
-            let wave_t0 = Instant::now();
-            telemetry::flight_event(FlightEventKind::WaveDispatched {
-                wave: episode as u64,
-                worlds: 1,
-            });
-            // The episode's start stream: everything after this point can
-            // be replayed onto a fresh shard from it plus the command log.
-            let ep_rng0 = self.world_rng[0].clone();
-            // Host the episode on the round-robin actor, skipping (and
-            // re-dispatching past) failed ones. Nothing of the episode
-            // has been ingested until ResetDone arrives, so retrying the
-            // reset on another actor is side-effect free.
-            let hosted = loop {
-                let mut hosted = None;
-                for offset in 0..actors {
-                    let a = (episode + offset) % actors;
-                    if self.dead[a] {
-                        continue;
-                    }
-                    let msg = ToActor::Reset {
-                        world: 0,
-                        rng: self.world_rng[0].clone(),
-                    };
-                    if !self.send_to(a, msg) {
-                        self.mark_disconnected(a);
-                        continue;
-                    }
-                    match self.recv(a) {
-                        Some(FromActor::ResetDone {
-                            observations,
-                            states,
-                            rng,
-                            flags,
-                            events,
-                            ..
-                        }) => {
-                            telemetry::replay(events);
-                            self.world_rng[0] = rng;
-                            if offset > 0 {
-                                // The round-robin host was dead or failed:
-                                // this actor took the episode over.
-                                telemetry::flight_event(FlightEventKind::Redispatched {
-                                    actor: a as u64,
-                                    wave: episode as u64,
-                                });
-                            }
-                            hosted = Some((observations, states, flags, a));
-                            break;
-                        }
-                        _ => continue, // recv classified the failure
-                    }
-                }
-                self.pending_redispatch.clear();
-                if let Some(h) = hosted {
-                    break h;
-                }
-                // Every actor failed while hosting this (side-effect free)
-                // reset: climb the ladder and retry, or abort cleanly.
-                self.supervise_failed();
-                if self.live_actors() == 0 {
-                    return Err(self.fleet_lost(Some((episode, None)), episodes_run));
-                }
+            // Telemetry of the replayed reset and of every replayed step
+            // but the last was ingested with the original replies.
+            let Some((FromActor::ResetDone { rng, .. }, _)) = self.recv(c) else {
+                return None;
             };
-            let (mut obs, mut states, mut flags, mut actor) = hosted;
-            self.cursors[0].begin_episode();
-            let mut cmd_log: Vec<Vec<VehicleCommand>> = Vec::new();
-            let mut ep_reward = 0.0f32;
-            let mut ep_speed = 0.0f32;
-            let mut steps = 0usize;
-            let mut done = false;
-            while !done {
-                let rollout_span = telemetry::span("rollout");
-                let commands = self.team.decide_in(
-                    &mut self.cursors[0],
-                    &self.track,
-                    &self.learners,
-                    self.n_vehicles,
-                    &states,
-                    &obs,
-                    self.rng,
-                    true,
-                );
-                cmd_log.push(commands.clone());
-                let delivered = 'deliver: {
-                    let msg = ToActor::Step {
-                        worlds: vec![0],
-                        commands: vec![commands],
-                    };
-                    if self.send_to(actor, msg) {
-                        if let Some(FromActor::StepDone {
-                            steps: mut step_msgs,
-                            events,
-                        }) = self.recv(actor)
-                        {
-                            let msg = step_msgs.pop().expect("exactly one world stepped");
-                            break 'deliver Some((actor, msg, events));
-                        }
-                    } else {
-                        self.mark_disconnected(actor);
-                    }
-                    // The host failed mid-episode. Steps 0..k-1 are already
-                    // ingested, but the learner owns the episode-start RNG
-                    // and the full command log, so a fresh shard replays
-                    // the episode bit-identically.
-                    self.rehost_serial(episode, &ep_rng0, &cmd_log)
+            // The replayed reset must land exactly where the original did
+            // — the learner still holds that stream.
+            debug_assert_eq!(rng, self.world_rng[g]);
+            let steps = self.cmd_log[g].len();
+            for i in 0..steps {
+                let step = ToActor::Step {
+                    worlds: vec![self.local(g)],
+                    commands: vec![self.cmd_log[g][i].clone()],
                 };
-                let Some((host, msg, events)) = delivered else {
-                    drop(rollout_span);
-                    return Err(self.fleet_lost(None, episodes_run));
+                if !self.send_to(c, step) {
+                    return None;
+                }
+                let Some((FromActor::StepDone(mut msgs), events)) = self.recv(c) else {
+                    return None;
                 };
-                actor = host;
-                telemetry::replay(events);
-                self.team.record_in(
-                    &mut self.cursors[0],
-                    &self.track,
-                    &self.learners,
-                    &msg.states,
-                    &obs,
-                    &msg.rewards,
-                    &msg.observations,
-                    msg.done,
-                );
-                drop(rollout_span);
-                ep_reward += self.mean_learner_reward(&msg.rewards);
-                ep_speed += msg.mean_speed;
-                steps += 1;
-                *self.step_counter += 1;
-                self.run_update_cadence();
-                obs = msg.observations;
-                states = msg.states;
-                flags = msg.flags;
-                done = msg.done;
-            }
-            telemetry::counter_add("episodes", 1);
-            telemetry::flight_event(FlightEventKind::WaveCompleted {
-                wave: episode as u64,
-                episodes: 1,
-            });
-            if !telemetry::disabled() {
-                telemetry::live_observe("live/wave_us", wave_t0.elapsed().as_secs_f64() * 1e6);
-            }
-            telemetry::progress(&format!("ep {}", episode + 1));
-            record_episode_flags(self.rec, &self.learners, &flags, ep_reward, ep_speed, steps);
-            episodes_run += 1;
-            if self.store.is_some() && self.ckpt.every > 0 && (episode + 1) % self.ckpt.every == 0
-            {
-                self.save_checkpoint(episode + 1, None);
-            }
-        }
-        Ok((true, episodes_run))
-    }
-
-    /// Batched mode: waves of episodes across all world replicas, with
-    /// per-wave resets, batched policy forwards, and batched world steps.
-    fn batched_run(&mut self) -> Result<(bool, usize), TrainError> {
-        let actors = self.slots.len();
-        let per_actor = self.rollout.batch_worlds;
-        let total = actors * per_actor;
-        let n_agents = self.learners.len();
-        let mut episodes_run = 0usize;
-        let mut completed_total = self.start_episode;
-
-        let mut obs: Vec<Vec<Observation>> = vec![Vec::new(); total];
-        let mut states: Vec<Vec<VehicleState>> = vec![Vec::new(); total];
-        let mut flags: Vec<WorldFlags> = vec![WorldFlags::default(); total];
-
-        while completed_total < self.opts.episodes {
-            if let Some(out) = self.kill_check(completed_total, episodes_run) {
-                return Ok(out);
-            }
-            self.supervise_failed();
-            if self.live_actors() == 0 {
-                let workers = self.worker_states();
-                return Err(
-                    self.fleet_lost(Some((completed_total, Some(workers))), episodes_run)
-                );
-            }
-            // Wave size: every live world runs one episode, capped so the
-            // wave never crosses the remaining-episode count, a scheduled
-            // kill, or a checkpoint boundary.
-            let live_worlds: Vec<usize> =
-                (0..total).filter(|g| !self.dead[g / per_actor]).collect();
-            let mut wave = live_worlds.len().min(self.opts.episodes - completed_total);
-            if let Some(k) = self.ckpt.fault_plan.kill_episode() {
-                if k > completed_total {
-                    wave = wave.min(k - completed_total);
-                }
-            }
-            if self.ckpt.every > 0 {
-                wave = wave.min(self.ckpt.every - completed_total % self.ckpt.every);
-            }
-            let assigned: Vec<usize> = live_worlds.into_iter().take(wave).collect();
-
-            let wave_no = self.wave_no;
-            self.wave_no += 1;
-            let wave_t0 = Instant::now();
-            telemetry::flight_event(FlightEventKind::WaveDispatched {
-                wave: wave_no,
-                worlds: assigned.len() as u64,
-            });
-            // Worlds stranded on previously failed actors are folded back
-            // into this wave's live assignment.
-            if !assigned.is_empty() {
-                for _failed in std::mem::take(&mut self.pending_redispatch) {
-                    telemetry::flight_event(FlightEventKind::Redispatched {
-                        actor: (assigned[0] / per_actor) as u64,
-                        wave: wave_no,
-                    });
-                }
-            }
-
-            // Reset the wave's worlds (grouped per actor, received in
-            // actor order — deterministic regardless of thread timing).
-            // Each world's start stream is kept for mid-wave replay.
-            let mut ep_rng0: Vec<Vec<u64>> = vec![Vec::new(); total];
-            let mut wave_cmd_log: Vec<Vec<Vec<VehicleCommand>>> = vec![Vec::new(); total];
-            let mut sent = vec![0usize; actors];
-            for &g in &assigned {
-                let a = g / per_actor;
-                if self.dead[a] {
+                if i + 1 < steps {
+                    replayed += 1;
                     continue;
                 }
-                ep_rng0[g] = self.world_rng[g].clone();
-                let msg = ToActor::Reset {
-                    world: g % per_actor,
-                    rng: self.world_rng[g].clone(),
-                };
-                if !self.send_to(a, msg) {
-                    self.mark_disconnected(a);
-                } else {
-                    sent[a] += 1;
-                }
+                telemetry::replay(events);
+                // A step request naming one world is answered with exactly
+                // one world's result.
+                let msg = msgs.pop().expect("exactly one world stepped");
+                replies.push(self.take_step(g, msg));
             }
-            let mut active: Vec<usize> = Vec::new();
-            for (a, &count) in sent.iter().enumerate() {
-                for _ in 0..count {
-                    if self.dead[a] {
-                        break;
-                    }
-                    match self.recv(a) {
-                        Some(FromActor::ResetDone {
-                            world,
-                            observations,
-                            states: st,
-                            rng,
-                            flags: fl,
-                            events,
-                        }) => {
-                            telemetry::replay(events);
-                            let g = a * per_actor + world;
-                            self.world_rng[g] = rng;
-                            obs[g] = observations;
-                            states[g] = st;
-                            flags[g] = fl;
-                            self.cursors[g].begin_episode();
-                            active.push(g);
-                        }
-                        _ => break, // recv classified the actor's failure
-                    }
-                }
-            }
-            if active.is_empty() {
-                continue; // all reset targets failed; retry after supervision
-            }
-
-            let mut ep_reward = vec![0.0f32; total];
-            let mut ep_speed = vec![0.0f32; total];
-            let mut ep_steps = vec![0usize; total];
-            let mut running = active.clone();
-            while !running.is_empty() {
-                // Phase B: decide for every running world (world order).
-                // Policy forwards for all worlds still selecting an option
-                // are batched per agent into one matmul; the RNG draws
-                // stay strictly in world order.
-                let mut msgs: Vec<Option<WorldStepMsg>> = (0..total).map(|_| None).collect();
-                let mut abandoned: Vec<usize> = Vec::new();
-                {
-                    let _rollout_span = telemetry::span("rollout");
-                    let mut logits: Vec<Vec<Option<Vec<f32>>>> =
-                        vec![vec![None; n_agents]; running.len()];
-                    if running.len() > 1 {
-                        for k in 0..n_agents {
-                            let v = self.learners[k];
-                            let sel: Vec<usize> = running
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, &g)| {
-                                    self.cursors[g].agents()[k].current_option().is_none()
-                                })
-                                .map(|(pos, _)| pos)
-                                .collect();
-                            if sel.len() > 1 {
-                                let rows_owned: Vec<Vec<f32>> = sel
-                                    .iter()
-                                    .map(|&pos| obs[running[pos]][v].high_vec())
-                                    .collect();
-                                let rows: Vec<&[f32]> =
-                                    rows_owned.iter().map(|r| r.as_slice()).collect();
-                                let batched = self.team.agents()[k].batch_logits(&rows);
-                                for (i, &pos) in sel.iter().enumerate() {
-                                    logits[pos][k] = Some(batched[i].clone());
-                                }
-                            }
-                        }
-                    }
-                    let mut groups: Vec<(Vec<usize>, Vec<Vec<VehicleCommand>>)> =
-                        vec![(Vec::new(), Vec::new()); actors];
-                    for (pos, &g) in running.iter().enumerate() {
-                        let commands = self.team.decide_in_with_logits(
-                            &mut self.cursors[g],
-                            &self.track,
-                            &self.learners,
-                            self.n_vehicles,
-                            &states[g],
-                            &obs[g],
-                            &logits[pos],
-                            self.rng,
-                            true,
-                        );
-                        wave_cmd_log[g].push(commands.clone());
-                        let a = g / per_actor;
-                        groups[a].0.push(g % per_actor);
-                        groups[a].1.push(commands);
-                    }
-                    let mut failed_send = vec![false; actors];
-                    for (a, (worlds, commands)) in groups.into_iter().enumerate() {
-                        if worlds.is_empty() {
-                            continue;
-                        }
-                        if !self.send_to(a, ToActor::Step { worlds, commands }) {
-                            self.mark_disconnected(a);
-                            failed_send[a] = true;
-                        }
-                    }
-                    for a in 0..actors {
-                        let worlds_a: Vec<usize> = running
-                            .iter()
-                            .copied()
-                            .filter(|&g| g / per_actor == a)
-                            .collect();
-                        if worlds_a.is_empty() {
-                            continue;
-                        }
-                        let ok = !failed_send[a]
-                            && !self.dead[a]
-                            && match self.recv(a) {
-                                Some(FromActor::StepDone { steps, events }) => {
-                                    telemetry::replay(events);
-                                    for m in steps {
-                                        let g = a * per_actor + m.world;
-                                        msgs[g] = Some(m);
-                                    }
-                                    true
-                                }
-                                _ => false,
-                            };
-                        if !ok
-                            && !self.recover_actor_batched(
-                                a,
-                                &worlds_a,
-                                &ep_rng0,
-                                &wave_cmd_log,
-                                wave_no,
-                                &mut msgs,
-                            )
-                        {
-                            if self.live_actors() == 0 {
-                                return Err(self.fleet_lost(None, episodes_run));
-                            }
-                            abandoned.extend(worlds_a);
-                        }
-                    }
-                }
-                if !abandoned.is_empty() {
-                    running.retain(|g| !abandoned.contains(g));
-                }
-
-                // Phase A: ingest results in global world order.
-                let mut still = Vec::new();
-                for &g in &running {
-                    let msg = msgs[g].take().expect("actor stepped this world");
-                    self.team.record_in(
-                        &mut self.cursors[g],
-                        &self.track,
-                        &self.learners,
-                        &msg.states,
-                        &obs[g],
-                        &msg.rewards,
-                        &msg.observations,
-                        msg.done,
-                    );
-                    ep_reward[g] += self.mean_learner_reward(&msg.rewards);
-                    ep_speed[g] += msg.mean_speed;
-                    ep_steps[g] += 1;
-                    *self.step_counter += 1;
-                    self.run_update_cadence();
-                    obs[g] = msg.observations;
-                    states[g] = msg.states;
-                    flags[g] = msg.flags;
-                    if msg.done {
-                        telemetry::counter_add("episodes", 1);
-                        telemetry::progress(&format!("ep {}", completed_total + 1));
-                        record_episode_flags(
-                            self.rec,
-                            &self.learners,
-                            &flags[g],
-                            ep_reward[g],
-                            ep_speed[g],
-                            ep_steps[g],
-                        );
-                        completed_total += 1;
-                        episodes_run += 1;
-                    } else {
-                        still.push(g);
-                    }
-                }
-                running = still;
-            }
-            telemetry::flight_event(FlightEventKind::WaveCompleted {
-                wave: wave_no,
-                episodes: active.len() as u64,
-            });
-            if !telemetry::disabled() {
-                telemetry::live_observe("live/wave_us", wave_t0.elapsed().as_secs_f64() * 1e6);
-            }
-
-            if self.store.is_some()
-                && self.ckpt.every > 0
-                && completed_total % self.ckpt.every == 0
-            {
-                let workers = self.worker_states();
-                self.save_checkpoint(completed_total, Some(workers));
-            }
+            self.host_of[g] = c;
         }
-        Ok((true, episodes_run))
+        telemetry::counter_add("actor/replayed_steps", replayed);
+        telemetry::flight_event(FlightEventKind::Redispatched {
+            actor: c as u64,
+            wave: self.episode as u64,
+        });
+        telemetry::progress(&format!(
+            "recovered {} world(s) on actor {c} after replaying {replayed} step(s)",
+            group.len()
+        ));
+        Some(replies)
     }
 }
 
-fn record_episode_flags(
-    rec: &mut Recorder,
-    learners: &[usize],
-    flags: &WorldFlags,
-    ep_reward: f32,
-    ep_speed: f32,
-    steps: usize,
-) {
-    rec.push("reward", ep_reward / steps.max(1) as f32);
-    rec.push(
-        "collision",
-        if learners.iter().any(|&v| flags.collided[v]) {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    let candidates: Vec<usize> = learners
-        .iter()
-        .copied()
-        .filter(|&v| flags.needs_merge[v])
-        .collect();
-    if !candidates.is_empty() {
-        let merged = candidates.iter().filter(|&&v| flags.has_merged[v]).count();
-        rec.push("success", merged as f32 / candidates.len() as f32);
+impl WorldHost for FleetHost<'_> {
+    fn world_count(&self) -> usize {
+        self.world_rng.len()
     }
-    rec.push("mean_speed", ep_speed / steps.max(1) as f32);
+
+    fn rng_state(&self, world: usize) -> Vec<u64> {
+        self.world_rng[world].clone()
+    }
+
+    fn set_rng_state(&mut self, world: usize, state: &[u64]) {
+        self.world_rng[world] = state.to_vec();
+    }
+
+    fn live_worlds(&mut self) -> Result<Vec<usize>, FleetLost> {
+        self.supervise_failed();
+        if self.live_actors() == 0 {
+            return Err(FleetLost);
+        }
+        let per_actor = self.rollout.batch_worlds;
+        Ok((0..self.world_count())
+            .filter(|&g| self.serial || !self.dead[g / per_actor])
+            .collect())
+    }
+
+    /// Sends every world's reset to its placement, then collects the
+    /// replies in send order (deterministic whatever the thread timing).
+    /// A world whose actor fails tries its next placement; nothing of an
+    /// episode is ingested before its reset succeeds, so retrying is
+    /// side-effect free.
+    fn reset(&mut self, worlds: &[usize], episode: usize) -> Vec<(usize, WorldView)> {
+        self.episode = episode;
+        let mut pending = worlds.to_vec();
+        let mut started = Vec::with_capacity(worlds.len());
+        for offset in 0..self.slots.len() {
+            let mut sent = Vec::with_capacity(pending.len());
+            for &g in &pending {
+                let Some(a) = self.placement(g, offset).filter(|&a| !self.dead[a]) else {
+                    continue;
+                };
+                let msg = ToActor::Reset {
+                    world: self.local(g),
+                    rng: self.world_rng[g].clone(),
+                };
+                if self.send_to(a, msg) {
+                    sent.push((g, a));
+                }
+            }
+            for (g, a) in sent {
+                if self.dead[a] {
+                    continue;
+                }
+                let Some((FromActor::ResetDone { view, flags, rng }, events)) = self.recv(a) else {
+                    continue;
+                };
+                telemetry::replay(events);
+                if offset > 0 {
+                    // The preferred host was dead or failed: this actor
+                    // took the episode over.
+                    telemetry::flight_event(FlightEventKind::Redispatched {
+                        actor: a as u64,
+                        wave: episode as u64,
+                    });
+                }
+                self.ep_rng0[g] = std::mem::replace(&mut self.world_rng[g], rng);
+                self.cmd_log[g].clear();
+                self.flags[g] = flags;
+                self.host_of[g] = a;
+                pending.retain(|&p| p != g);
+                started.push((g, view));
+            }
+            if pending.is_empty() {
+                break;
+            }
+        }
+        // Ascending: batched worlds have one placement each and serial
+        // mode runs one world.
+        started
+    }
+
+    fn step(
+        &mut self,
+        worlds: &[usize],
+        commands: Vec<Vec<VehicleCommand>>,
+    ) -> Result<Vec<Option<StepReply>>, FleetLost> {
+        let actors = self.slots.len();
+        // Placement is fixed before any reply: recovery may move a world.
+        let hosts: Vec<usize> = worlds.iter().map(|&g| self.host_of[g]).collect();
+        let mut groups: Vec<(Vec<usize>, Vec<Vec<VehicleCommand>>)> =
+            vec![(Vec::new(), Vec::new()); actors];
+        for ((&g, &a), cmds) in worlds.iter().zip(&hosts).zip(commands) {
+            self.cmd_log[g].push(cmds.clone());
+            groups[a].0.push(self.local(g));
+            groups[a].1.push(cmds);
+        }
+        let mut sent = vec![false; actors];
+        for (a, (local, commands)) in groups.into_iter().enumerate() {
+            if !local.is_empty() {
+                sent[a] = self.send_to(
+                    a,
+                    ToActor::Step {
+                        worlds: local,
+                        commands,
+                    },
+                );
+            }
+        }
+        let mut replies: Vec<Option<StepReply>> = worlds.iter().map(|_| None).collect();
+        for (a, &sent) in sent.iter().enumerate() {
+            let positions: Vec<usize> = (0..worlds.len()).filter(|&i| hosts[i] == a).collect();
+            if positions.is_empty() {
+                continue;
+            }
+            let reply = if sent && !self.dead[a] {
+                self.recv(a)
+            } else {
+                None
+            };
+            if let Some((FromActor::StepDone(msgs), events)) = reply {
+                telemetry::replay(events);
+                for (&i, msg) in positions.iter().zip(msgs) {
+                    replies[i] = Some(self.take_step(worlds[i], msg));
+                }
+                continue;
+            }
+            // The host failed mid-episode. Steps already ingested stay
+            // valid: the learner owns each episode's start stream and
+            // command log, so a fresh shard replays it bit-identically.
+            let group: Vec<usize> = positions.iter().map(|&i| worlds[i]).collect();
+            if let Some(recovered) = self.recover(&group)? {
+                for (&i, reply) in positions.iter().zip(recovered) {
+                    replies[i] = Some(reply);
+                }
+            }
+        }
+        Ok(replies)
+    }
+
+    fn flags(&self, world: usize) -> WorldFlags {
+        self.flags[world].clone()
+    }
 }
 
 /// [`crate::trainer::train_team_checkpointed`] with rollout split across
@@ -1372,6 +922,10 @@ fn record_episode_flags(
 /// [`TrainError::ResumeRefused`] when `--resume` finds a checkpoint from
 /// an incompatible kernel mode, and [`TrainError::FleetLost`] when every
 /// actor slot is dead with the respawn budget exhausted.
+///
+/// # Panics
+///
+/// Panics when `rollout` asks for no actor or no world per actor.
 pub fn train_team_actor_learner(
     team: &mut HeroTeam,
     env: &mut LaneChangeEnv,
@@ -1380,205 +934,15 @@ pub fn train_team_actor_learner(
     rollout: &RolloutOptions,
 ) -> Result<TrainOutcome, TrainError> {
     assert!(rollout.actors >= 1, "need at least one actor thread");
-    assert!(rollout.batch_worlds >= 1, "need at least one world per actor");
-    let actors = rollout.actors;
-    let per_actor = rollout.batch_worlds;
-    let serial = per_actor == 1;
-    let total_worlds = if serial { 1 } else { actors * per_actor };
-
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut rec = Recorder::new();
-    let mut step_counter = 0usize;
-    let mut update_counter = 0usize;
-    let mut start_episode = 0usize;
-    let mut restored_workers: Option<WorkerStates> = None;
-
-    if ckpt.resume {
-        if let Some(dir) = &ckpt.dir {
-            match checkpoint::load_latest(dir) {
-                Ok(Some(loaded)) => {
-                    match TrainerSnapshot::from_sections(&loaded.sections)
-                        .and_then(|snap| snap.verify_kernel_mode().map(|()| snap))
-                        .and_then(|snap| restore_snapshot(team, env, &snap).map(|()| snap))
-                    {
-                        Ok(snap) => {
-                            telemetry::counter_add("checkpoint/loaded", 1);
-                            telemetry::flight_event(FlightEventKind::CheckpointLoaded {
-                                index: loaded.index,
-                            });
-                            telemetry::counter_add(
-                                "checkpoint/corrupt_skipped",
-                                loaded.corrupt_skipped as u64,
-                            );
-                            if loaded.corrupt_skipped > 0 {
-                                telemetry::counter_add("checkpoint/fallback", 1);
-                            }
-                            rng = StdRng::from_state(snap.trainer_rng);
-                            step_counter = snap.step_counter;
-                            update_counter = snap.update_counter;
-                            start_episode = snap.next_episode;
-                            restored_workers = snap.workers.clone();
-                            rec = snap.recorder;
-                        }
-                        Err(e @ hero_autograd::CheckpointError::KernelModeMismatch { .. }) => {
-                            // See trainer::train_team_checkpointed: a
-                            // cross-mode resume must fail loudly, not fall
-                            // back to a fresh run.
-                            telemetry::progress(&format!("refusing to resume: {e}"));
-                            let _ = telemetry::flush();
-                            return Err(TrainError::ResumeRefused(e));
-                        }
-                        Err(e) => {
-                            telemetry::counter_add("checkpoint/corrupt_skipped", 1);
-                            telemetry::progress(&format!("resume failed, starting fresh: {e}"));
-                        }
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    telemetry::progress(&format!("checkpoint dir unreadable, starting fresh: {e}"));
-                }
-            }
-        }
-    }
-
-    let mut store = ckpt.open_store();
-
-    // The learner owns every world's environment RNG stream; world 0 is
-    // the canonical env's own stream (so serial mode continues it
-    // exactly), worlds g > 0 get independent replica streams. Replica
-    // construction senses each world once purely to read its RNG stream;
-    // capture and discard that telemetry, because a resumed run imports
-    // the checkpoint's totals (which already counted the original
-    // construction) and then rebuilds the replicas again — without the
-    // discard its sensor counters would exceed an uninterrupted run's.
-    telemetry::begin_capture();
-    let mut world_rng: Vec<Vec<u64>> = (0..total_worlds)
-        .map(|g| {
-            if g == 0 {
-                env.rng_state()
-            } else {
-                env.replica(g).rng_state()
-            }
-        })
-        .collect();
-    let _ = telemetry::take_capture();
-    let mut cursors: Vec<TeamCursor> = (0..total_worlds).map(|_| team.new_cursor()).collect();
-    if let Some(w) = &restored_workers {
-        if w.rngs.len() == total_worlds {
-            for g in 0..total_worlds {
-                world_rng[g].clone_from(&w.rngs[g]);
-                cursors[g].set_last_options(w.last_options[g].clone());
-            }
-        } else {
-            telemetry::progress(&format!(
-                "checkpoint has {} worker streams, run has {}; extra worlds start fresh",
-                w.rngs.len(),
-                total_worlds
-            ));
-        }
-    }
-
-    let track = env.config().track;
-    let learners = env.learner_indices();
-    let n_vehicles = env.num_vehicles();
-    let cap = rollout.channel_capacity.max(per_actor).max(1);
-    let capture = telemetry::is_enabled();
-    let shutdown = Arc::new(AtomicBool::new(false));
-
-    let spawner = ActorSpawner {
-        env_cfg: *env.config(),
-        spawns: env.spawns().to_vec(),
-        seed: env.seed(),
-        worlds: per_actor,
-        cap,
-        capture,
-        shutdown: Arc::clone(&shutdown),
-    };
-    // Generation 0 carries the fault plan's actor faults; respawned
-    // incarnations are always healthy.
-    let slots: Vec<ActorSlot> = (0..actors)
-        .map(|a| {
-            let fault = ActorFault {
-                stall: ckpt.fault_plan.stall_actor(a),
-                panic: ckpt.fault_plan.panic_actor(a),
-                slow_ms: ckpt.fault_plan.slow_actor_ms(a),
-            };
-            spawner.spawn(a, 0, fault)
-        })
-        .collect();
-
-    let mut learner = Learner {
-        team,
-        rng: &mut rng,
-        rec: &mut rec,
-        cursors: &mut cursors,
-        world_rng: &mut world_rng,
-        step_counter: &mut step_counter,
-        update_counter: &mut update_counter,
-        store: &mut store,
-        opts,
-        ckpt,
-        rollout,
-        track,
-        learners,
-        n_vehicles,
-        slots,
-        spawner,
-        zombies: Vec::new(),
-        dead: vec![false; actors],
-        start_episode,
-        engine_start: Instant::now(),
-        outstanding: vec![0; actors],
-        busy_us: vec![0; actors],
-        wave_no: 0,
-        pending_redispatch: Vec::new(),
-        names: LiveNames::new(actors),
-    };
-    let result = if serial {
-        learner.serial_run()
-    } else {
-        learner.batched_run()
-    };
-    // Teardown: wake any stalled (sleeping) incarnations, close every
-    // command channel, and join all threads — current slots and the
-    // zombies left behind by respawns — so no actor outlives the engine.
-    let slots = std::mem::take(&mut learner.slots);
-    let zombies = std::mem::take(&mut learner.zombies);
-    drop(learner);
-    shutdown.store(true, Ordering::Relaxed);
-    for slot in slots {
-        let ActorSlot { tx, rx, handle, .. } = slot;
-        drop(tx);
-        drop(rx);
-        if let Some(h) = handle {
-            // An injected panic that was never observed mid-run still
-            // surfaces here; the payload is intentionally discarded.
-            let _ = h.join();
-        }
-    }
-    for h in zombies {
-        let _ = h.join();
-    }
-
-    env.set_rng_state(&world_rng[0]);
-    team.absorb_cursor(&cursors[0]);
-    match result {
-        Ok((completed, episodes_run)) => {
-            if !completed {
-                // Incomplete runs dump the flight recorder on the next
-                // flush (stalls and kills already marked themselves; this
-                // covers every other early-return path).
-                telemetry::mark_faulted();
-            }
-            Ok(TrainOutcome {
-                recorder: rec,
-                completed,
-                episodes_run,
-            })
-        }
-        Err(e) => Err(e),
-    }
+    assert!(
+        rollout.batch_worlds >= 1,
+        "need at least one world per actor"
+    );
+    let shape = Shape::of(env);
+    let mut host = FleetHost::spawn(env, ckpt, rollout);
+    let result = engine::run(team, &mut host, shape, opts, ckpt);
+    host.shutdown();
+    result
 }
 
 #[cfg(test)]

@@ -2,9 +2,16 @@
 //!
 //! Stage one trains the low-level skills in parallel single-vehicle
 //! environments ([`crate::skills::SkillLibrary::train`], Algorithm 2).
-//! Stage two — this module — runs Algorithm 1: the agents act through
-//! their (frozen) skills in the multi-vehicle world while learning the
-//! high-level cooperative option policy with opponent modeling.
+//! Stage two runs Algorithm 1: the agents act through their (frozen)
+//! skills in the multi-vehicle world while learning the high-level
+//! cooperative option policy with opponent modeling.
+//!
+//! This module holds the team ([`HeroTeam`], its per-world
+//! [`TeamCursor`]) and the in-process entry points: [`train_team`] and
+//! [`train_team_checkpointed`] run the one training loop on the caller's
+//! world, stepped by direct call on this thread with no other thread
+//! involved. [`crate::rollout::train_team_actor_learner`] runs the same
+//! loop on worlds stepped by supervised actor threads.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -18,23 +25,23 @@ use hero_rl::metrics::Recorder;
 use hero_rl::snapshot::{self, Codec};
 use hero_rl::telemetry;
 use hero_sim::env::{CooperativeWorld, Observation};
-use hero_sim::vehicle::VehicleCommand;
-
 use hero_sim::track::Track;
-use hero_sim::vehicle::VehicleState;
+use hero_sim::vehicle::{VehicleCommand, VehicleState};
 
 use crate::agent::{AgentCursor, HeroAgent};
-use crate::checkpoint::{self, CheckpointStore, TrainerSnapshot};
+use crate::checkpoint::{self, CheckpointStore};
 use crate::config::{HeroConfig, TerminationMode};
+use crate::engine::{self, vehicle_states, InProcess, Shape};
 use crate::skills::SkillLibrary;
 
 /// The team's option-execution state for one world: one [`AgentCursor`]
 /// per agent plus the joint last-observed-options vector.
 ///
-/// The sequential loop keeps this state inside [`HeroTeam`]; the batched
-/// rollout engine owns one cursor per in-flight world and drives the team
-/// through [`HeroTeam::decide_in`] / [`HeroTeam::record_in`].
-#[derive(Clone, Debug)]
+/// The team owns one cursor, which [`HeroTeam::decide`] and
+/// [`HeroTeam::record`] act on; the training loop owns one per world it
+/// runs and drives the team through [`HeroTeam::decide_in_with_logits`] /
+/// [`HeroTeam::record_in`].
+#[derive(Clone, Debug, Default)]
 pub struct TeamCursor {
     agents: Vec<AgentCursor>,
     last_options: Vec<usize>,
@@ -58,8 +65,7 @@ impl TeamCursor {
     }
 
     /// Clears every agent's option state for a new episode. The joint
-    /// last-options vector persists across episodes, exactly as the
-    /// sequential loop's does.
+    /// last-options vector persists across episodes.
     pub fn begin_episode(&mut self) {
         for a in &mut self.agents {
             a.clear();
@@ -87,7 +93,7 @@ pub struct HeroTeam {
     agents: Vec<HeroAgent>,
     skills: Arc<SkillLibrary>,
     cfg: HeroConfig,
-    last_options: Vec<usize>,
+    cursor: TeamCursor,
 }
 
 impl HeroTeam {
@@ -114,7 +120,10 @@ impl HeroTeam {
             agents,
             skills,
             cfg,
-            last_options: vec![0; n_learners],
+            cursor: TeamCursor {
+                agents: vec![AgentCursor::new(); n_learners],
+                last_options: vec![0; n_learners],
+            },
         }
     }
 
@@ -138,18 +147,16 @@ impl HeroTeam {
         &self.cfg
     }
 
-    fn others_last(&self, k: usize) -> Vec<usize> {
-        self.last_options
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != k)
-            .map(|(_, &o)| o)
-            .collect()
+    /// The team's own world cursor (the option state [`HeroTeam::decide`]
+    /// and [`HeroTeam::record`] act on).
+    pub fn cursor(&self) -> &TeamCursor {
+        &self.cursor
     }
 
-    /// Runs the per-step decision pass: ensures every agent has an active
-    /// option and produces one command per *vehicle* (scripted slots get
-    /// a default command, which the environment ignores).
+    /// Runs the per-step decision pass on the team's own cursor: ensures
+    /// every agent has an active option and produces one command per
+    /// *vehicle* (scripted slots get a default command, which the
+    /// environment ignores).
     pub fn decide<W: CooperativeWorld>(
         &mut self,
         env: &W,
@@ -157,39 +164,25 @@ impl HeroTeam {
         rng: &mut StdRng,
         explore: bool,
     ) -> Vec<VehicleCommand> {
-        let track = env.config().track;
-        let learners = env.learner_indices();
-        assert_eq!(learners.len(), self.agents.len(), "team/world size mismatch");
-        for (k, &v) in learners.iter().enumerate() {
-            let high_obs = obs[v].high_vec();
-            let state = env.vehicle_state(v);
-            let others = self.others_last(k);
-            let option =
-                self.agents[k].ensure_option(&high_obs, &state, &track, &others, rng, explore);
-            self.last_options[k] = option.index();
-        }
-        let mut commands = vec![VehicleCommand::default(); env.num_vehicles()];
-        for (k, &v) in learners.iter().enumerate() {
-            let active = *self.agents[k].active().expect("option ensured above");
-            let state = env.vehicle_state(v);
-            // The skills are frozen after stage one (Fig. 2), so they
-            // always execute deterministically; exploration happens in
-            // the high-level option space only.
-            commands[v] = self.skills.command(
-                active.option,
-                &obs[v],
-                &state,
-                active.target_d(&track),
-                rng,
-                false,
-            );
-        }
+        let mut cur = std::mem::take(&mut self.cursor);
+        let commands = self.decide_in_with_logits(
+            &mut cur,
+            &env.config().track,
+            &env.learner_indices(),
+            env.num_vehicles(),
+            &vehicle_states(env),
+            obs,
+            &[],
+            rng,
+            explore,
+        );
+        self.cursor = cur;
         commands
     }
 
-    /// Records the step outcome into every agent, handling synchronous
-    /// termination when configured. `pre_obs` are the observations the
-    /// decisions were made from.
+    /// Records the step outcome into every agent on the team's own
+    /// cursor, handling synchronous termination when configured.
+    /// `pre_obs` are the observations the decisions were made from.
     pub fn record<W: CooperativeWorld>(
         &mut self,
         env: &W,
@@ -198,71 +191,48 @@ impl HeroTeam {
         next_obs: &[Observation],
         done: bool,
     ) {
-        let track = env.config().track;
-        let learners = env.learner_indices();
-        let mut any_terminated = false;
-        for (k, &v) in learners.iter().enumerate() {
-            let others = self.others_last(k);
-            let terminated = self.agents[k].record_step(
-                &pre_obs[v].high_vec(),
-                &others,
-                rewards[v],
-                &next_obs[v].high_vec(),
-                &env.vehicle_state(v),
-                &track,
-                done,
-            );
-            any_terminated |= terminated;
-        }
-        if self.cfg.termination == TerminationMode::Synchronous && any_terminated {
-            for (k, &v) in learners.iter().enumerate() {
-                self.agents[k].force_terminate(&next_obs[v].high_vec(), done);
-            }
-        }
+        let mut cur = std::mem::take(&mut self.cursor);
+        self.record_in(
+            &mut cur,
+            &env.config().track,
+            &env.learner_indices(),
+            &vehicle_states(env),
+            pre_obs,
+            rewards,
+            next_obs,
+            done,
+        );
+        self.cursor = cur;
     }
 
-    /// A fresh per-world cursor seeded from the team's current joint
-    /// last-options vector (so a cursor created after a checkpoint restore
-    /// continues exactly where the sequential state machine would).
+    /// A fresh per-world cursor seeded from the team's joint last-options
+    /// vector (so a cursor created after a checkpoint restore continues
+    /// exactly where the team left off).
     pub fn new_cursor(&self) -> TeamCursor {
         TeamCursor {
             agents: vec![AgentCursor::new(); self.agents.len()],
-            last_options: self.last_options.clone(),
+            last_options: self.cursor.last_options.clone(),
         }
     }
 
     /// Folds a world cursor's joint bookkeeping back into the team so that
-    /// checkpoints ([`HeroTeam::save_state`]) and later sequential use
-    /// (e.g. [`evaluate_team`]) see the trained last-options vector.
+    /// checkpoints ([`HeroTeam::save_state`]) and later use (e.g.
+    /// [`evaluate_team`]) see the trained last-options vector.
     pub fn absorb_cursor(&mut self, cur: &TeamCursor) {
-        assert_eq!(cur.last_options.len(), self.last_options.len());
-        self.last_options = cur.last_options.clone();
+        assert_eq!(cur.last_options.len(), self.agents.len());
+        self.cursor.last_options.clone_from(&cur.last_options);
     }
 
-    /// [`HeroTeam::decide`] against an external world cursor, with the
-    /// world shipped as data (track + vehicle states + observations)
-    /// instead of borrowed — the actor/learner split runs this on the
-    /// learner thread against state received from actor threads. Randomness
-    /// and telemetry follow exactly the sequential order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_in(
-        &mut self,
-        cur: &mut TeamCursor,
-        track: &Track,
-        learners: &[usize],
-        num_vehicles: usize,
-        states: &[VehicleState],
-        obs: &[Observation],
-        rng: &mut StdRng,
-        explore: bool,
-    ) -> Vec<VehicleCommand> {
-        self.decide_cursor(cur, track, learners, num_vehicles, states, obs, None, rng, explore)
-    }
-
-    /// [`HeroTeam::decide_in`] with per-agent policy logits precomputed by
-    /// a batched forward pass over many worlds ([`HeroAgent::batch_logits`]).
-    /// `logits[k]` is `Some` only for agents the caller batched (those with
-    /// no active option); `None` falls back to the scalar path.
+    /// The decision pass against world cursor `cur`, with the world given
+    /// as data (track, vehicle states, observations) so worlds stepped
+    /// anywhere can be decided here. `logits[k]`, when present, holds
+    /// agent `k`'s policy logits precomputed by a batched forward pass
+    /// over many worlds ([`HeroAgent::batch_logits`]); a missing entry
+    /// (or an empty slice) takes the scalar path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `learners` does not name one vehicle per agent.
     #[allow(clippy::too_many_arguments)]
     pub fn decide_in_with_logits(
         &mut self,
@@ -276,29 +246,11 @@ impl HeroTeam {
         rng: &mut StdRng,
         explore: bool,
     ) -> Vec<VehicleCommand> {
-        self.decide_cursor(
-            cur, track, learners, num_vehicles, states, obs, Some(logits), rng, explore,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn decide_cursor(
-        &mut self,
-        cur: &mut TeamCursor,
-        track: &Track,
-        learners: &[usize],
-        num_vehicles: usize,
-        states: &[VehicleState],
-        obs: &[Observation],
-        logits: Option<&[Option<Vec<f32>>]>,
-        rng: &mut StdRng,
-        explore: bool,
-    ) -> Vec<VehicleCommand> {
         assert_eq!(learners.len(), self.agents.len(), "team/world size mismatch");
         for (k, &v) in learners.iter().enumerate() {
             let high_obs = obs[v].high_vec();
             let others = cur.others_last(k);
-            let option = match logits.and_then(|l| l[k].as_ref()) {
+            let option = match logits.get(k).and_then(Option::as_ref) {
                 Some(row) => self.agents[k].ensure_option_from_logits(
                     &mut cur.agents[k],
                     row,
@@ -309,7 +261,7 @@ impl HeroTeam {
                     rng,
                     explore,
                 ),
-                None => self.agents[k].ensure_option_in(
+                None => self.agents[k].ensure_option(
                     &mut cur.agents[k],
                     &high_obs,
                     &states[v],
@@ -323,6 +275,7 @@ impl HeroTeam {
         }
         let mut commands = vec![VehicleCommand::default(); num_vehicles];
         for (k, &v) in learners.iter().enumerate() {
+            // The loop above left every agent with an active option.
             let active = *cur.agents[k].active().expect("option ensured above");
             // The skills are frozen after stage one (Fig. 2), so they
             // always execute deterministically; exploration happens in
@@ -339,8 +292,9 @@ impl HeroTeam {
         commands
     }
 
-    /// [`HeroTeam::record`] against an external world cursor, with the
-    /// post-step world shipped as data.
+    /// Records one step's outcome against world cursor `cur`, with the
+    /// post-step world given as data; closes every segment together under
+    /// synchronous termination.
     #[allow(clippy::too_many_arguments)]
     pub fn record_in(
         &mut self,
@@ -356,7 +310,7 @@ impl HeroTeam {
         let mut any_terminated = false;
         for (k, &v) in learners.iter().enumerate() {
             let others = cur.others_last(k);
-            let terminated = self.agents[k].record_step_in(
+            let terminated = self.agents[k].record_step(
                 &mut cur.agents[k],
                 &pre_obs[v].high_vec(),
                 &others,
@@ -370,7 +324,7 @@ impl HeroTeam {
         }
         if self.cfg.termination == TerminationMode::Synchronous && any_terminated {
             for (k, &v) in learners.iter().enumerate() {
-                self.agents[k].force_terminate_in(&mut cur.agents[k], &next_obs[v].high_vec(), done);
+                self.agents[k].force_terminate(&mut cur.agents[k], &next_obs[v].high_vec(), done);
             }
         }
     }
@@ -382,15 +336,13 @@ impl HeroTeam {
         let learners = env.learner_indices();
         for (k, &v) in learners.iter().enumerate() {
             let state = env.vehicle_state(v);
-            self.agents[k].observe_step_eval(&state, &track, done);
+            self.agents[k].observe_step_eval(&mut self.cursor.agents[k], &state, &track, done);
         }
     }
 
-    /// Clears per-episode state on every agent.
+    /// Clears the per-episode option state of the team's own cursor.
     pub fn begin_episode(&mut self) {
-        for a in &mut self.agents {
-            a.begin_episode();
-        }
+        self.cursor.begin_episode();
     }
 
     /// Captures the team's full state — every agent plus the joint
@@ -398,12 +350,16 @@ impl HeroTeam {
     ///
     /// # Panics
     ///
-    /// Panics when any agent holds a half-finished option segment:
-    /// snapshots are only taken at episode boundaries.
+    /// Panics when the team's own cursor holds a half-finished option
+    /// segment: snapshots are only taken at episode boundaries.
     pub fn save_state(&self) -> Vec<(String, Vec<u8>)> {
+        assert!(
+            self.cursor.is_idle(),
+            "team state can only be captured at an episode boundary"
+        );
         let mut sections = Vec::new();
         let mut last = Vec::new();
-        self.last_options.encode(&mut last);
+        self.cursor.last_options.encode(&mut last);
         sections.push(("team/last_options".to_string(), last));
         for (k, agent) in self.agents.iter().enumerate() {
             sections.extend(
@@ -417,7 +373,8 @@ impl HeroTeam {
     }
 
     /// Restores state captured by [`HeroTeam::save_state`] into a team
-    /// built with the same size, dimensions, and config.
+    /// built with the same size, dimensions, and config. Any active option
+    /// on the team's own cursor is discarded.
     ///
     /// # Errors
     ///
@@ -450,7 +407,8 @@ impl HeroTeam {
                 .collect();
             agent.load_state(&agent_sections)?;
         }
-        self.last_options = last_options;
+        self.cursor.begin_episode();
+        self.cursor.last_options = last_options;
         Ok(())
     }
 
@@ -489,7 +447,8 @@ impl HeroTeam {
                             })
                         })
                         .collect();
-                    // Join in agent-index order; panics propagate.
+                    // Join in agent-index order. A worker panic is a bug in
+                    // the update itself, so it propagates.
                     handles
                         .into_iter()
                         .map(|h| h.join().expect("agent update thread panicked"))
@@ -547,9 +506,8 @@ pub fn train_team<W: CooperativeWorld>(
     env: &mut W,
     opts: &TrainOptions,
 ) -> Recorder {
-    // Delegates with checkpointing disabled so the plain and crash-safe
-    // loops cannot drift apart step-for-step. The default config neither
-    // resumes nor runs actors, so no TrainError variant is reachable.
+    // The default config neither resumes nor runs actors, so no
+    // TrainError variant is reachable.
     train_team_checkpointed(team, env, opts, &CheckpointConfig::default())
         .expect("default checkpoint config cannot fail")
         .recorder
@@ -679,10 +637,12 @@ pub struct TrainOutcome {
 /// checkpoint, and honors a deterministic [`FaultPlan`].
 ///
 /// With `ckpt.every == 0`, no directory, and an empty fault plan this is
-/// step-for-step identical to [`train_team`]. A seeded run that is killed
-/// and resumed produces bit-identical metric series and telemetry (modulo
-/// the `checkpoint/*` counters themselves) to an uninterrupted run with
-/// the same checkpoint cadence.
+/// [`train_team`]. A seeded run that is killed and resumed produces
+/// bit-identical metric series and telemetry (modulo the `checkpoint/*`
+/// counters themselves) to an uninterrupted run with the same checkpoint
+/// cadence — also when the resume runs on the other host
+/// ([`crate::rollout::train_team_actor_learner`] in serial mode), whose
+/// checkpoints are the same bytes.
 ///
 /// # Errors
 ///
@@ -695,167 +655,8 @@ pub fn train_team_checkpointed<W: CooperativeWorld>(
     opts: &TrainOptions,
     ckpt: &CheckpointConfig,
 ) -> Result<TrainOutcome, TrainError> {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut rec = Recorder::new();
-    let mut step_counter = 0usize;
-    let mut update_counter = 0usize;
-    let mut start_episode = 0usize;
-
-    if ckpt.resume {
-        if let Some(dir) = &ckpt.dir {
-            match checkpoint::load_latest(dir) {
-                Ok(Some(loaded)) => {
-                    match TrainerSnapshot::from_sections(&loaded.sections)
-                        .and_then(|snap| snap.verify_kernel_mode().map(|()| snap))
-                        .and_then(|snap| restore_snapshot(team, env, &snap).map(|()| snap))
-                    {
-                        Ok(snap) => {
-                            // Counters AFTER the telemetry restore, which
-                            // would otherwise wipe them.
-                            telemetry::counter_add("checkpoint/loaded", 1);
-                            telemetry::flight_event(
-                                telemetry::FlightEventKind::CheckpointLoaded {
-                                    index: loaded.index,
-                                },
-                            );
-                            telemetry::counter_add(
-                                "checkpoint/corrupt_skipped",
-                                loaded.corrupt_skipped as u64,
-                            );
-                            if loaded.corrupt_skipped > 0 {
-                                telemetry::counter_add("checkpoint/fallback", 1);
-                            }
-                            rng = StdRng::from_state(snap.trainer_rng);
-                            rec = snap.recorder;
-                            step_counter = snap.step_counter;
-                            update_counter = snap.update_counter;
-                            start_episode = snap.next_episode;
-                        }
-                        Err(e @ hero_autograd::CheckpointError::KernelModeMismatch { .. }) => {
-                            // A cross-mode resume would diverge from every
-                            // golden while looking healthy; starting fresh
-                            // would silently discard the run. Refuse with a
-                            // typed error the binary turns into exit 1.
-                            telemetry::progress(&format!("refusing to resume: {e}"));
-                            let _ = telemetry::flush();
-                            return Err(TrainError::ResumeRefused(e));
-                        }
-                        Err(e) => {
-                            telemetry::counter_add("checkpoint/corrupt_skipped", 1);
-                            telemetry::progress(&format!("resume failed, starting fresh: {e}"));
-                        }
-                    }
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    telemetry::progress(&format!("checkpoint dir unreadable, starting fresh: {e}"));
-                }
-            }
-        }
-    }
-
-    let mut store = ckpt.open_store();
-
-    let mut episodes_run = 0usize;
-    for episode in start_episode..opts.episodes {
-        if ckpt.fault_plan.should_kill(episode) {
-            telemetry::counter_add("checkpoint/fault_kill", 1);
-            telemetry::flight_event(telemetry::FlightEventKind::KillInjected {
-                episode: episode as u64,
-            });
-            telemetry::mark_faulted();
-            let _ = telemetry::flush();
-            match ckpt.kill_mode {
-                KillMode::Exit => std::process::exit(137),
-                KillMode::Return => {
-                    return Ok(TrainOutcome {
-                        recorder: rec,
-                        completed: false,
-                        episodes_run,
-                    })
-                }
-            }
-        }
-        let mut obs = env.reset();
-        team.begin_episode();
-        let mut ep_reward = 0.0;
-        let mut ep_speed = 0.0;
-        let mut steps = 0usize;
-        while !env.is_done() {
-            let out = {
-                let _rollout = telemetry::span("rollout");
-                let commands = team.decide(env, &obs, &mut rng, true);
-                let out = env.step(&commands);
-                team.record(env, &obs, &out.rewards, &out.observations, out.done);
-                out
-            };
-            let learners = env.learner_indices();
-            ep_reward += learners.iter().map(|&v| out.rewards[v]).sum::<f32>()
-                / learners.len() as f32;
-            ep_speed += out.mean_speed;
-            steps += 1;
-            step_counter += 1;
-            if step_counter % opts.update_every == 0 {
-                let _update = telemetry::span("update");
-                if ckpt.fault_plan.nan_grad_at(update_counter) {
-                    // Poison one gradient so the optimizer watchdog must
-                    // catch and skip it (counted under watchdog/*).
-                    if let Some(agent) = team.agents_mut().first_mut() {
-                        agent.poison_gradients();
-                    }
-                }
-                update_counter += 1;
-                if let Some((c, a)) = team.update(&mut rng) {
-                    telemetry::counter_add("grad_updates", 1);
-                    telemetry::observe("critic_loss", c as f64);
-                    telemetry::observe("actor_loss", a as f64);
-                    rec.push("critic_loss", c);
-                    rec.push("actor_loss", a);
-                }
-            }
-            obs = out.observations;
-        }
-        telemetry::counter_add("episodes", 1);
-        telemetry::progress(&format!("ep {}", episode + 1));
-        record_episode(&mut rec, env, ep_reward, ep_speed, steps);
-        episodes_run += 1;
-
-        if let Some(store) = store.as_mut() {
-            if ckpt.every > 0 && (episode + 1) % ckpt.every == 0 {
-                let snap = TrainerSnapshot {
-                    next_episode: episode + 1,
-                    step_counter,
-                    update_counter,
-                    trainer_rng: rng.state(),
-                    env_rng: env.rng_state(),
-                    recorder: rec.clone(),
-                    telemetry: telemetry::export_state(),
-                    workers: None,
-                    kernel_mode: hero_autograd::kernel_mode(),
-                    team_sections: team.save_state(),
-                };
-                store.save(&snap.to_sections(), &ckpt.fault_plan);
-            }
-        }
-    }
-    Ok(TrainOutcome {
-        recorder: rec,
-        completed: true,
-        episodes_run,
-    })
-}
-
-pub(crate) fn restore_snapshot<W: CooperativeWorld>(
-    team: &mut HeroTeam,
-    env: &mut W,
-    snap: &TrainerSnapshot,
-) -> Result<(), hero_autograd::CheckpointError> {
-    team.load_state(&snap.team_sections)?;
-    env.set_rng_state(&snap.env_rng);
-    if let Some(state) = &snap.telemetry {
-        let _ = telemetry::restore_state(state);
-    }
-    Ok(())
+    let shape = Shape::of(env);
+    engine::run(team, &mut InProcess(env), shape, opts, ckpt)
 }
 
 /// Greedy evaluation results over a batch of episodes (the paper's
@@ -926,35 +727,6 @@ pub fn evaluate_team<W: CooperativeWorld>(
         mean_speed: speed_sum / steps.max(1) as f32,
         mean_reward: reward_sum / steps.max(1) as f32,
     }
-}
-
-fn record_episode<W: CooperativeWorld>(
-    rec: &mut Recorder,
-    env: &W,
-    ep_reward: f32,
-    ep_speed: f32,
-    steps: usize,
-) {
-    let learners = env.learner_indices();
-    rec.push("reward", ep_reward / steps.max(1) as f32);
-    rec.push(
-        "collision",
-        if learners.iter().any(|&v| env.has_collided(v)) {
-            1.0
-        } else {
-            0.0
-        },
-    );
-    let candidates: Vec<usize> = learners
-        .iter()
-        .copied()
-        .filter(|&v| env.needs_merge(v))
-        .collect();
-    if !candidates.is_empty() {
-        let merged = candidates.iter().filter(|&&v| env.has_merged(v)).count();
-        rec.push("success", merged as f32 / candidates.len() as f32);
-    }
-    rec.push("mean_speed", ep_speed / steps.max(1) as f32);
 }
 
 #[cfg(test)]
@@ -1051,6 +823,7 @@ mod tests {
             // when another just terminated — i.e. after any step either
             // all agents are active or all are inactive.
             let active_count = team
+                .cursor()
                 .agents()
                 .iter()
                 .filter(|a| a.current_option().is_some())

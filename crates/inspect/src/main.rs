@@ -2,9 +2,7 @@
 //!
 //! ```text
 //! hero-inspect summarize RUN
-//! hero-inspect diff BASELINE CANDIDATE [--tol-value F] [--tol-count F]
-//!                  [--tol-counter F] [--abs-floor F]
-//!                  [--rtol F] [--atol F] [--rtol-prefix P:F]...
+//! hero-inspect diff BASELINE CANDIDATE [--rtol F] [--atol F] [--rtol-prefix P:F]...
 //!                  [--atol-prefix P:F]... [--ignore PREFIX]...
 //!                  [--fail-on-regression] [--verbose]
 //! hero-inspect doctor RUN
@@ -16,13 +14,14 @@
 //! tolerance or a metric disappears; `--ignore PREFIX` (repeatable)
 //! excludes metrics by name prefix, e.g. `--ignore checkpoint/` (resumed
 //! vs. uninterrupted) or `--ignore live/` (scraped vs. unscraped).
-//! Passing any of `--rtol`, `--atol`, `--rtol-prefix`, `--atol-prefix`
-//! switches the diff into tolerance mode (`|b-a| <= atol + rtol*scale`,
-//! used to gate fast-math runs against their golden); the prefix forms
-//! override the base pair for qualified quantity names (longest prefix
-//! wins), e.g. `--rtol-prefix counter/:0` pins event counts exact.
-//! Tolerance mode and the legacy `--tol-*`/`--abs-floor` family are
-//! mutually exclusive. `doctor` exits 1 when a critical pathology
+//! Without tolerance flags the diff uses the golden gate's default
+//! tolerances. Passing any of `--rtol`, `--atol`, `--rtol-prefix`,
+//! `--atol-prefix` switches it into tolerance mode
+//! (`|b-a| <= atol + rtol*scale`; `--rtol 0 --atol 0` demands bit
+//! equality, fast-math runs are gated against their golden with looser
+//! bounds); the prefix forms override the base pair for qualified
+//! quantity names (longest prefix wins), e.g. `--rtol-prefix counter/:0`
+//! pins event counts exact. `doctor` exits 1 when a critical pathology
 //! (watchdog events, dropped checkpoints) is found, and reports recorded
 //! matmul GFLOP/s when a `BENCH_train_throughput.json` sits next to the
 //! run (or in the current directory), plus serving throughput and tail
@@ -45,7 +44,6 @@ use hero_inspect::{
 };
 
 const USAGE: &str = "usage: hero-inspect <summarize RUN | diff BASELINE CANDIDATE \
-                     [--tol-value F] [--tol-count F] [--tol-counter F] [--abs-floor F] \
                      [--rtol F] [--atol F] [--rtol-prefix P:F]... [--atol-prefix P:F]... \
                      [--ignore PREFIX]... [--fail-on-regression] [--verbose] | doctor RUN \
                      | watch URL|RUN [--interval-ms N] [--frames N]>";
@@ -184,14 +182,12 @@ fn parse_prefix_override(
 
 fn run_diff(rest: &[String]) -> ExitCode {
     let mut paths = Vec::new();
-    let mut tol = Tolerances::default();
     let mut rtol: Option<f64> = None;
     let mut atol: Option<f64> = None;
     let mut overrides: Vec<PrefixTolerance> = Vec::new();
     let mut ignore_prefixes: Vec<String> = Vec::new();
     let mut fail_on_regression = false;
     let mut verbose = false;
-    let mut legacy_flags = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let mut tol_flag = |slot: &mut f64| match it.next().map(|v| v.parse::<f64>()) {
@@ -202,22 +198,6 @@ fn run_diff(rest: &[String]) -> ExitCode {
             _ => Err(format!("{arg} requires a non-negative number")),
         };
         let parsed = match arg.as_str() {
-            "--tol-value" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.value)
-            }
-            "--tol-count" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.count)
-            }
-            "--tol-counter" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.counter)
-            }
-            "--abs-floor" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.abs_floor)
-            }
             "--rtol" => {
                 let mut v = 0.0;
                 tol_flag(&mut v).map(|()| rtol = Some(v))
@@ -258,9 +238,6 @@ fn run_diff(rest: &[String]) -> ExitCode {
         return fail("diff takes exactly BASELINE and CANDIDATE");
     };
     let tolerance_mode = rtol.is_some() || atol.is_some() || !overrides.is_empty();
-    if tolerance_mode && legacy_flags {
-        return fail("--rtol/--atol/--*-prefix and --tol-*/--abs-floor are separate modes; pick one");
-    }
     let (a, b) = match (load_run(Path::new(baseline)), load_run(Path::new(candidate))) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return fail(&e),
@@ -268,7 +245,7 @@ fn run_diff(rest: &[String]) -> ExitCode {
     let report = if tolerance_mode {
         diff_tolerance(&a, &b, rtol.unwrap_or(0.0), atol.unwrap_or(0.0), &overrides, &ignore_prefixes)
     } else {
-        diff_with(&a, &b, &tol, &ignore_prefixes)
+        diff_with(&a, &b, &Tolerances::default(), &ignore_prefixes)
     };
     print!("{}", report.render(verbose));
     if fail_on_regression && report.is_regression() {

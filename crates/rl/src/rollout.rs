@@ -1,28 +1,6 @@
 //! Parallel rollout driving — the paper trains the low-level skills in
 //! "parallel training environments" (Sec. V-C); this module provides the
-//! worker fan-out and a progress channel for streaming per-episode metrics
-//! back to the coordinator.
-
-use std::collections::BTreeMap;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-
-use crate::buffer::ReplayBuffer;
-use crate::metrics::Recorder;
-
-/// A per-episode progress report emitted by a worker.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EpisodeReport {
-    /// Worker index.
-    pub worker: usize,
-    /// Episode index local to the worker.
-    pub episode: usize,
-    /// Metric name (e.g. `"reward"`).
-    pub metric: String,
-    /// Metric value.
-    pub value: f32,
-}
+//! worker fan-out.
 
 /// Runs `workers` jobs on separate threads and collects their results in
 /// worker order. Each job receives its worker index.
@@ -50,156 +28,9 @@ where
             *slot = Some(handle.join().expect("rollout worker panicked"));
         }
     });
-    out.into_iter().map(|v| v.expect("worker result set")).collect()
-}
-
-/// A channel hub aggregating [`EpisodeReport`]s from parallel workers into
-/// a shared [`Recorder`] keyed as `"<metric>/w<worker>"`.
-#[derive(Debug)]
-pub struct ProgressHub {
-    sender: Sender<EpisodeReport>,
-    receiver: Receiver<EpisodeReport>,
-    recorder: Mutex<Recorder>,
-}
-
-impl Default for ProgressHub {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ProgressHub {
-    /// Creates an empty hub.
-    pub fn new() -> Self {
-        let (sender, receiver) = unbounded();
-        Self {
-            sender,
-            receiver,
-            recorder: Mutex::new(Recorder::new()),
-        }
-    }
-
-    /// A sender handle for a worker thread.
-    pub fn sender(&self) -> Sender<EpisodeReport> {
-        self.sender.clone()
-    }
-
-    /// Drains all pending reports into the recorder, returning how many
-    /// were processed.
-    pub fn drain(&self) -> usize {
-        let mut n = 0;
-        let mut rec = self.recorder.lock();
-        while let Ok(report) = self.receiver.try_recv() {
-            rec.push(&format!("{}/w{}", report.metric, report.worker), report.value);
-            n += 1;
-        }
-        n
-    }
-
-    /// Drains and then snapshots the recorder.
-    pub fn snapshot(&self) -> Recorder {
-        self.drain();
-        self.recorder.lock().clone()
-    }
-}
-
-/// A producer handle for a [`TransitionFeed`].
-///
-/// `send` blocks while the feed's bounded channel is full, giving natural
-/// backpressure: fast actors wait for the learner instead of growing an
-/// unbounded queue.
-#[derive(Clone, Debug)]
-pub struct FeedSender<T> {
-    inner: Sender<(u64, T)>,
-}
-
-impl<T> FeedSender<T> {
-    /// Sends `item` tagged with its global sequence number. Returns
-    /// `false` when the consumer is gone (the item is dropped).
-    pub fn send(&self, seq: u64, item: T) -> bool {
-        self.inner.send((seq, item)).is_ok()
-    }
-}
-
-/// A bounded, sequence-ordered transition feed from rollout producers to
-/// a learner-side replay buffer.
-///
-/// Producers tag every item with a caller-assigned global sequence number
-/// (e.g. the step counter a deterministic scheduler hands out). The
-/// consumer side releases items strictly in sequence order, stashing
-/// early arrivals, so the replay buffer's insertion order — and therefore
-/// everything sampled from it — is independent of thread timing.
-#[derive(Debug)]
-pub struct TransitionFeed<T> {
-    sender: Sender<(u64, T)>,
-    receiver: Receiver<(u64, T)>,
-    stashed: BTreeMap<u64, T>,
-    next: u64,
-}
-
-impl<T> TransitionFeed<T> {
-    /// Creates a feed whose channel holds at most `capacity` in-flight
-    /// items (producers block beyond that).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity == 0`.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "feed capacity must be positive");
-        let (sender, receiver) = bounded(capacity);
-        Self {
-            sender,
-            receiver,
-            stashed: BTreeMap::new(),
-            next: 0,
-        }
-    }
-
-    /// A producer handle (cloneable across worker threads).
-    pub fn sender(&self) -> FeedSender<T> {
-        FeedSender {
-            inner: self.sender.clone(),
-        }
-    }
-
-    /// The next sequence number the feed will release.
-    pub fn next_seq(&self) -> u64 {
-        self.next
-    }
-
-    /// Items received out of order and still waiting for their
-    /// predecessors.
-    pub fn stashed(&self) -> usize {
-        self.stashed.len()
-    }
-
-    /// Drains everything currently available into `sink`, in strict
-    /// sequence order. Out-of-order arrivals are stashed for a later
-    /// drain. Returns how many items were released.
-    pub fn drain(&mut self, mut sink: impl FnMut(T)) -> usize {
-        while let Ok((seq, item)) = self.receiver.try_recv() {
-            debug_assert!(seq >= self.next, "sequence number {seq} reused");
-            self.stashed.insert(seq, item);
-        }
-        let mut released = 0;
-        while let Some(item) = self.stashed.remove(&self.next) {
-            sink(item);
-            self.next += 1;
-            released += 1;
-        }
-        released
-    }
-
-    /// [`Self::drain`] straight into a replay buffer.
-    pub fn drain_into(&mut self, buffer: &mut ReplayBuffer<T>) -> usize {
-        let mut fed = 0;
-        let released = self.drain(|item| {
-            fed += 1;
-            buffer.push(item);
-        });
-        debug_assert_eq!(fed, released);
-        released
-    }
+    out.into_iter()
+        .map(|v| v.expect("worker result set"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -215,97 +46,5 @@ mod tests {
     #[test]
     fn run_parallel_single_worker() {
         assert_eq!(run_parallel(1, |_| "done"), vec!["done"]);
-    }
-
-    #[test]
-    fn progress_hub_aggregates_reports() {
-        let hub = ProgressHub::new();
-        run_parallel(3, |w| {
-            let tx = hub.sender();
-            for e in 0..4 {
-                tx.send(EpisodeReport {
-                    worker: w,
-                    episode: e,
-                    metric: "reward".into(),
-                    value: (w * 4 + e) as f32,
-                })
-                .unwrap();
-            }
-        });
-        let drained = hub.drain();
-        assert_eq!(drained, 12);
-        let rec = hub.snapshot();
-        assert_eq!(rec.series("reward/w0").unwrap(), &[0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(rec.series("reward/w2").unwrap().len(), 4);
-    }
-
-    #[test]
-    fn feed_releases_in_sequence_order() {
-        let mut feed = TransitionFeed::bounded(16);
-        let tx = feed.sender();
-        // Arrivals shuffled: 2, 0, 3 — only the contiguous prefix drains.
-        assert!(tx.send(2, "c"));
-        assert!(tx.send(0, "a"));
-        assert!(tx.send(3, "d"));
-        let mut got = Vec::new();
-        assert_eq!(feed.drain(|v| got.push(v)), 1);
-        assert_eq!(got, vec!["a"]);
-        assert_eq!(feed.stashed(), 2);
-        assert!(tx.send(1, "b"));
-        assert_eq!(feed.drain(|v| got.push(v)), 3);
-        assert_eq!(got, vec!["a", "b", "c", "d"]);
-        assert_eq!(feed.next_seq(), 4);
-        assert_eq!(feed.stashed(), 0);
-    }
-
-    #[test]
-    fn feed_buffer_contents_independent_of_thread_timing() {
-        // 4 producers interleave arbitrarily; disjoint sequence strides
-        // mean the drained order (hence buffer contents) is always the
-        // same.
-        let fill = |feed: &mut TransitionFeed<u64>| {
-            let tx = feed.sender();
-            run_parallel(4, |w| {
-                let tx = tx.clone();
-                for i in 0..8u64 {
-                    assert!(tx.send(i * 4 + w as u64, i * 4 + w as u64));
-                }
-            });
-            let mut buf = ReplayBuffer::new(64);
-            assert_eq!(feed.drain_into(&mut buf), 32);
-            buf
-        };
-        let a = fill(&mut TransitionFeed::bounded(32));
-        let b = fill(&mut TransitionFeed::bounded(32));
-        let dump = |buf: &ReplayBuffer<u64>| {
-            use rand::{rngs::StdRng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(7);
-            buf.sample(&mut rng, 16).into_iter().copied().collect::<Vec<_>>()
-        };
-        assert_eq!(dump(&a), dump(&b));
-        assert_eq!(dump(&a), dump(&a));
-    }
-
-    #[test]
-    fn feed_bounded_capacity_blocks_producers() {
-        // A capacity-1 feed forces producers to wait for the consumer:
-        // with 3 items sent from another thread, the consumer must drain
-        // at least twice before the producer can finish.
-        let mut feed = TransitionFeed::bounded(1);
-        let tx = feed.sender();
-        std::thread::scope(|s| {
-            let producer = s.spawn(move || {
-                for i in 0..3u64 {
-                    assert!(tx.send(i, i));
-                }
-            });
-            let mut got = Vec::new();
-            while got.len() < 3 {
-                feed.drain(|v| got.push(v));
-                std::thread::yield_now();
-            }
-            producer.join().unwrap();
-            assert_eq!(got, vec![0, 1, 2]);
-        });
     }
 }

@@ -74,6 +74,7 @@ fn main() {
     while !env.is_done() {
         let cmds = team.decide(&env, &obs, &mut rng, false);
         let options: Vec<String> = team
+            .cursor()
             .agents()
             .iter()
             .map(|a| {

@@ -55,6 +55,20 @@ echo "=== actor/learner serial-mode golden diff"
     tests/golden/diag_baseline.jsonl "$DIAG/tel-actors" \
     --ignore actor/ --ignore live/ --fail-on-regression
 
+echo "=== actor/learner batched-mode golden diff"
+# Batched mode (--batch-worlds > 1) interleaves episodes across world
+# replicas, so it cannot match the sequential golden; it has its own,
+# generated from the same seeded experiment on 2 actors x 2 worlds. A
+# change to what batched training computes fails here even when it stays
+# reproducible run to run.
+./target/release/fig10_opponent_loss \
+    --episodes 6 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
+    --update-every 1 --seed 7 --actors 2 --batch-worlds 2 \
+    --out "$DIAG/exp-batched" --telemetry-out "$DIAG/tel-batched" >/dev/null
+./target/release/hero-inspect diff \
+    tests/golden/diag_batched.jsonl "$DIAG/tel-batched" \
+    --ignore actor/ --ignore live/ --fail-on-regression
+
 echo "=== live metrics exporter smoke"
 # Run a longer 2-actor experiment with the runtime exporter attached
 # (ephemeral port, discovered via <out>/metrics_addr) and scrape
@@ -123,7 +137,7 @@ wait "$live_pid"
 ./target/release/fig10_opponent_loss "${LIVE_FLAGS[@]}" \
     --out "$LIVE/shared" --telemetry-out "$LIVE/tel-plain" >/dev/null
 ./target/release/hero-inspect diff "$LIVE/tel-plain" "$LIVE/tel" \
-    --tol-value 0 --tol-count 0 --tol-counter 0 --abs-floor 0 \
+    --rtol 0 --atol 0 \
     --ignore actor/ --ignore live/ --fail-on-regression
 # hero-top renders a frame from the finished telemetry directory.
 ./target/release/hero-inspect watch "$LIVE/tel" --frames 1 | grep -q "hero-top" \
@@ -221,7 +235,7 @@ test "$rc" -eq 137 || { echo "expected exit 137 from injected kill, got $rc"; ex
 
 # Bit-identical telemetry (counters AND value statistics) and CSVs.
 ./target/release/hero-inspect diff "$CRASH/tel-a" "$CRASH/tel-b" \
-    --tol-value 0 --tol-count 0 --tol-counter 0 --abs-floor 0 \
+    --rtol 0 --atol 0 \
     --ignore checkpoint/ --ignore live/ --fail-on-regression
 cmp "$CRASH/fig10_a.csv" "$CRASH/shared/fig10_opponent_loss.csv"
 
@@ -281,7 +295,7 @@ grep -q '^checkpoint/dropped,1,' "$CHAOS/tel-chaos/counters.csv" \
 # Zero-tolerance diff: faults may touch nothing outside their own
 # bookkeeping namespaces. CSVs must be byte-identical.
 ./target/release/hero-inspect diff "$CHAOS/tel-clean" "$CHAOS/tel-chaos" \
-    --tol-value 0 --tol-count 0 --tol-counter 0 --abs-floor 0 \
+    --rtol 0 --atol 0 \
     --ignore actor/ --ignore supervisor/ --ignore checkpoint/ --ignore live/ \
     --fail-on-regression
 cmp "$CHAOS/fig10_clean.csv" "$CHAOS/shared/fig10_opponent_loss.csv"

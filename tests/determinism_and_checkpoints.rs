@@ -554,6 +554,106 @@ fn hero_actor_learner_serial_matches_sequential_trainer() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// The in-process trainer and the serial actor fleet are two hosts of one
+/// training loop, so a checkpoint written by either resumes on the other:
+/// killed on one host at episode 3 and resumed on the other (both
+/// orders), the run ends with the metric series, telemetry fingerprint,
+/// and final checkpoint bytes of an uninterrupted in-process run.
+#[test]
+fn hero_resume_crosses_hosts_bit_identically() {
+    use hero_core::rollout::{train_team_actor_learner, RolloutOptions};
+    use hero_core::trainer::{train_team_checkpointed, CheckpointConfig, TrainOutcome};
+    use hero_faultplan::{FaultPlan, KillMode};
+    use hero_rl::telemetry;
+
+    #[derive(Clone, Copy, Debug)]
+    enum Host {
+        InProcess,
+        Fleet,
+    }
+
+    let base = std::env::temp_dir().join(format!("hero_cross_host_{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let seed = 41;
+    let episodes = 6;
+    let train = |host: Host, dir: &std::path::Path, plan: &str, resume: bool| -> TrainOutcome {
+        let (mut env, mut team) = hero_crash_fixture(seed);
+        let ckpt = CheckpointConfig {
+            every: 2,
+            dir: Some(dir.to_path_buf()),
+            resume,
+            fault_plan: FaultPlan::parse(plan).unwrap(),
+            kill_mode: KillMode::Return,
+            ..CheckpointConfig::default()
+        };
+        let opts = crash_opts(episodes, seed);
+        match host {
+            Host::InProcess => train_team_checkpointed(&mut team, &mut env, &opts, &ckpt),
+            Host::Fleet => train_team_actor_learner(
+                &mut team,
+                &mut env,
+                &opts,
+                &ckpt,
+                &RolloutOptions {
+                    actors: 2,
+                    batch_worlds: 1,
+                    ..RolloutOptions::default()
+                },
+            ),
+        }
+        .expect("run must not abort")
+    };
+    // One run into `dir`: uninterrupted in process (`legs == None`), or
+    // killed on the first host and resumed on the second. Each leg gets
+    // its own sink when `sink` is set, as separate processes would.
+    let run = |dir: &std::path::Path, legs: Option<(Host, Host)>, sink: bool| {
+        let scoped = || sink.then(|| telemetry::scoped(telemetry::TelemetryConfig::default()));
+        let last = match legs {
+            None => Host::InProcess,
+            Some((first, second)) => {
+                let _sink = scoped();
+                let out = train(first, dir, "kill@ep:3", false);
+                assert!(!out.completed, "the injected kill must stop the {first:?} run");
+                second
+            }
+        };
+        let sink = scoped();
+        let out = train(last, dir, "", legs.is_some());
+        assert!(out.completed);
+        let fingerprint = sink.map(|s| {
+            let snap = s.snapshot();
+            let loaded = snap.counter_totals().get("checkpoint/loaded").copied();
+            assert_eq!(loaded, legs.map(|_| 1), "only a resumed run loads a checkpoint");
+            telemetry_fingerprint(&snap)
+        });
+        (recorder_series(&out.recorder), fingerprint)
+    };
+
+    // Pass 1 (scoped sinks): metric series and telemetry fingerprints.
+    let orders = [(Host::InProcess, Host::Fleet), (Host::Fleet, Host::InProcess)];
+    let (series, telem) = run(&base.join("uninterrupted"), None, true);
+    for legs in orders {
+        let (s, t) = run(&base.join(format!("{legs:?}")), Some(legs), true);
+        assert_eq!(series, s, "metric series must match when resuming {legs:?}");
+        assert_eq!(telem, t, "telemetry must match when resuming {legs:?}");
+    }
+
+    // Pass 2 (no sink): the final checkpoint files must be byte-identical.
+    std::fs::remove_dir_all(&base).ok();
+    run(&base.join("uninterrupted"), None, false);
+    let reference = newest_checkpoint_bytes(&base.join("uninterrupted"));
+    for legs in orders {
+        let dir = base.join(format!("{legs:?}"));
+        run(&dir, Some(legs), false);
+        assert_eq!(
+            reference,
+            newest_checkpoint_bytes(&dir),
+            "final checkpoint must be byte-identical when resuming {legs:?}"
+        );
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// Batched rollout (`batch_worlds > 1`) interleaves episodes across
 /// worlds, so it is compared against itself: a batched run killed
 /// mid-training and resumed from its checkpoint must reproduce the
